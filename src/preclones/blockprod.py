@@ -1,14 +1,23 @@
 """Block products of preclones and pg-pairs.
 
 A rank-n element of S []_k T is a pair (F, f): f in T_n and F a total
-table from the n-ary contexts of T's sort k into S_n.  Composition
-rewrites each context of the result into one context for F and one for
-each argument's table; the index bookkeeping (slicing the context tuple
-by argument ranks, inserting the unit at the active slot) is validated
-eagerly because it is the most error-prone part of the construction.
+table from the n-ary contexts of T's sort k into S_n.  Block elements are
+plain pairs ``(F, f)`` with F a tuple of S-element handles indexed by the
+deterministic context enumeration order.
 
-Block elements are plain pairs ``(F, f)`` with F a tuple of S-element
-handles indexed by the deterministic context enumeration order.
+Every operation here reads a table at a context derived from another
+context by stacking, C.D (``syntactic.stack_contexts``), and looks the
+result up with ``BlockProduct.index``:
+
+- composition reads F at c.O and the i-th argument's table at
+  (c.A_i).B_i, for holes O, A_i, B_i built from (f, gs) alone;
+- the morphism of a context C reads F at C.D;
+- relabelling reads each letter's table at D.H, H the hole that the
+  node's factorization leaves in the tree's image in T.
+
+The derived indices depend only on T-side data, so each user keeps an
+integer gather plan: per (f, gs) for composition, per rank for a context
+morphism.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .preclone import (
     PgPair,
     close_under_composition,
 )
-from .syntactic import Context, enumerate_contexts
+from .syntactic import Context, enumerate_contexts, stack_contexts
 from .trees import RankedTree, factor_at, rank as tree_rank
 
 
@@ -47,6 +56,7 @@ class BlockProduct:
         self.ctx_index = [
             {c: i for i, c in enumerate(cs)} for cs in self.contexts
         ]
+        self._plans = {}  # (f, gs) -> index columns, see compose
 
     # -- element helpers -----------------------------------------------------
 
@@ -77,49 +87,73 @@ class BlockProduct:
         F, f = ff
         return F[self.ctx_index[f[0]][c]]
 
+    def index(self, c: Context) -> int:
+        """Position of c in the enumeration of its width's contexts.
+
+        Derived contexts must lie in the enumeration; a missing one means
+        the truncation was too small for the derivation.
+        """
+        i = self.ctx_index[len(c.v)].get(c)
+        if i is None:
+            raise RankOverflow(f"derived context missing at rank {len(c.v)}: {c}")
+        return i
+
     # -- composition -----------------------------------------------------------
 
     def compose(self, ff, ggs):
-        """(F,f) . ((G_1,g_1) + ... + (G_n,g_n)) per the context rewrite."""
+        """(F,f) . ((G_1,g_1) + ... + (G_n,g_n)) per the context rewrite.
+
+        Q(c) = F(c.O) . (G_i((c.A_i).B_i))_i over the rank-m contexts c,
+        with O = (1, 0, gs, 0), A_i = (1, 0, gs[:i] + w_i units + gs[i+1:], 0)
+        and B_i = (f, i, w_i units, n-1-i), w_i = rank(g_i).  The indices
+        depend only on (f, gs) and are kept as one gather column per table.
+        """
         F, f = ff
         n = f[0]
         if len(ggs) != n:
             raise ValueError(f"width mismatch: rank {n} vs {len(ggs)} arguments")
         gs = tuple(g for _, g in ggs)
-        widths = [g[0] for g in gs]
-        m = sum(widths)
+        m = sum(g[0] for g in gs)
         if m > self.trunc:
             raise RankOverflow(f"block element of rank {m} above bound {self.trunc}")
+        fg = self.T.compose(f, gs)
+        plan = self._plans.get((f, gs))
+        if plan is None:
+            plan = self._plans[(f, gs)] = self._compose_plan(f, gs)
+        Gs = [G for G, _ in ggs]
+        Q = tuple(
+            self.S.compose(F[o], [G[j] for G, j in zip(Gs, js)])
+            for o, *js in zip(*plan)
+        )
+        return (Q, fg)
+
+    def _compose_plan(self, f, gs):
+        """Index columns for compose: F's, then one per argument slot.
+
+        The slot hole is split into A_i then B_i because the single hole
+        A_i.B_i has the head f.(gs with a unit at i), of rank m+1-w_i,
+        which overflows the truncation when w_i = 0; stacking onto a
+        context c in sort k first keeps every rank within k+1.
+        """
         T = self.T
-        fg = T.compose(f, gs)
-        Q = []
-        for c in self.contexts[m]:
-            # slice v by the argument widths; ell_i = total rank of slice i
-            vbars = []
-            pos = 0
-            for w in widths:
-                vbars.append(c.v[pos : pos + w])
-                pos += w
-            ells = [sum(x[0] for x in vb) for vb in vbars]
-            gv = tuple(T.compose(gs[i], vbars[i]) for i in range(n))
-            outer = Context(c.u, c.k1, gv, c.k2)
-            f_val = F[self.ctx_index[n][outer]]
-            args = []
-            for i in range(n):
-                inner = gv[:i] + (T.unit,) + gv[i + 1 :]
-                c_i = T.plug(c.u, c.k1, T.compose(f, inner), c.k2)
-                p1 = c.k1 + sum(ells[:i])
-                p2 = sum(ells[i + 1 :]) + c.k2
-                ctx_i = Context(c_i, p1, vbars[i], p2)
-                idx = self.ctx_index[widths[i]].get(ctx_i)
-                if idx is None:
-                    raise RankOverflow(
-                        f"derived context missing at rank {widths[i]}: "
-                        f"p1={p1} p2={p2}; decomposition of {c}"
-                    )
-                args.append(ggs[i][0][idx])
-            Q.append(self.S.compose(f_val, args))
-        return (tuple(Q), fg)
+        n = len(gs)
+        m = sum(g[0] for g in gs)
+        holes = [[Context(T.unit, 0, gs, 0)]]
+        for i, g in enumerate(gs):
+            units = (T.unit,) * g[0]
+            holes.append([
+                Context(T.unit, 0, gs[:i] + units + gs[i + 1 :], 0),
+                Context(f, i, units, n - 1 - i),
+            ])
+        cols = []
+        for path in holes:
+            col = []
+            for c in self.contexts[m]:
+                for h in path:
+                    c = stack_contexts(T, c, h)
+                col.append(self.index(c))
+            cols.append(tuple(col))
+        return tuple(cols)
 
     def eval_tree(self, gamma, t: RankedTree):
         """Homomorphic evaluation of a tree whose labels index ``gamma``."""
@@ -236,7 +270,11 @@ class RestrictedBlockProduct:
             if not self.contains(x):
                 raise ValueError("element outside the restricted product")
         out = self.bp.compose(ff, ggs)
-        assert self.contains(out)  # sub-preclone closure
+        if not self.contains(out):
+            raise ValueError(
+                "composite left the restricted product: t_elements is not "
+                "closed under composition"
+            )
         return out
 
     def carrier_size(self, n) -> int:
@@ -263,42 +301,26 @@ def alpha_context_morphism(src: RestrictedBlockProduct, dst: BlockProduct, C: Co
     """The morphism S []_k^{T'} T -> S []_n T determined by a context C.
 
     C is an n-ary context over T' in sort k; the image of (F, f) is
-    (F^C, f) where F^C reads off F at the context obtained by stacking C
-    around the target context.  Satisfies F^C(1, 0, n-units, 0) = F(C).
-    dst must be the block product of S and T at level n = width of C.
+    (F^C, f) with F^C(D) = F(C.D), reading F at C stacked on the target
+    context D.  Satisfies F^C(1, 0, n-units, 0) = F(C).  Every C.D is a
+    context in sort k, so it needs no more truncation than src already
+    has.  dst must be the block product of S and T at level n = width of C.
+    The gather plan depends only on (C, m), so it is built once per rank m.
     """
-    Tfull = src.bp.T
-    n = len(C.v)
-    if dst.k != n:
+    T = src.bp.T
+    if dst.k != len(C.v):
         raise ValueError("destination level must equal the context width")
+    plans = {}
 
     def apply(ff):
         F, f = ff
         m = f[0]
-        out = []
-        for D in dst.contexts[m]:
-            r, p1, s, p2 = D.u, D.k1, D.v, D.k2
-            # split C.v into the first p1, middle n-p1-p2, last p2 components
-            vbar1 = C.v[:p1]
-            vmid = C.v[p1 : n - p2]
-            vbar2 = C.v[n - p2 :]
-            q1 = sum(x[0] for x in vbar1)
-            q2 = sum(x[0] for x in vbar2)
-            r_ins = Tfull.compose(r, vbar1 + (Tfull.unit,) + vbar2)
-            u2 = Tfull.plug(C.u, C.k1, r_ins, C.k2)
-            # s . vmid, componentwise over the middle slices
-            sv = []
-            pos = 0
-            for s_i in s:
-                w = s_i[0]
-                sv.append(Tfull.compose(s_i, vmid[pos : pos + w]))
-                pos += w
-            D2 = Context(u2, C.k1 + q1, tuple(sv), q2 + C.k2)
-            idx = src.bp.ctx_index[m].get(D2)
-            if idx is None:
-                raise RankOverflow(f"stacked context missing: {D2}")
-            out.append(F[idx])
-        return (tuple(out), f)
+        plan = plans.get(m)
+        if plan is None:
+            plan = plans[m] = [
+                src.bp.index(stack_contexts(T, C, D)) for D in dst.contexts[m]
+            ]
+        return (tuple(F[i] for i in plan), f)
 
     return apply
 
@@ -313,6 +335,10 @@ def relabel(t: RankedTree, D: Context, gamma, tau: Morphism, bp: BlockProduct):
     gamma maps each letter to a block element key (F_sigma, b_sigma); tau
     is the second-component morphism into T.  The relabelled tree keeps
     t's shape and variable leaves; NV labels become S-element handles.
+    A node labelled sigma factors t as f_tree . (r1 units + sigma(children)
+    + r3 units), which leaves the hole H = (tau(f_tree), r1, tau(children),
+    r3) in sort rank(t); the node's label is F_sigma(D.H).  D.H is in
+    sort k, so it needs no more truncation than D itself.
     """
     T = bp.T
     n = tree_rank(t)
@@ -321,28 +347,11 @@ def relabel(t: RankedTree, D: Context, gamma, tau: Morphism, bp: BlockProduct):
 
     def label_for(path):
         f_tree, r1, g_sub, r3 = factor_at(t, path)
-        sigma = g_sub.label
-        m = len(g_sub.children)
-        r2 = tree_rank(g_sub)
-        vbar1 = D.v[:r1]
-        vbar2 = D.v[r1 : r1 + r2]
-        vbar3 = D.v[r1 + r2 :]
-        p1 = sum(x[0] for x in vbar1)
-        p3 = sum(x[0] for x in vbar3)
-        tf = tau.eval(f_tree)
-        c = T.plug(D.u, D.k1, T.compose(tf, vbar1 + (T.unit,) + vbar3), D.k2)
-        hv = []
-        pos = 0
-        for child in g_sub.children:
-            w = tree_rank(child)
-            hv.append(T.compose(tau.eval(child), vbar2[pos : pos + w]))
-            pos += w
-        ctx = Context(c, D.k1 + p1, tuple(hv), p3 + D.k2)
-        F_sigma, _ = gamma[sigma]
-        idx = bp.ctx_index[m].get(ctx)
-        if idx is None:
-            raise RankOverflow(f"derived context missing while relabeling: {ctx}")
-        return F_sigma[idx]
+        hole = Context(
+            tau.eval(f_tree), r1, tuple(tau.eval(c) for c in g_sub.children), r3
+        )
+        F_sigma, _ = gamma[g_sub.label]
+        return F_sigma[bp.index(stack_contexts(T, D, hole))]
 
     def walk(s, path):
         if s.is_var():

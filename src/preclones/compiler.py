@@ -58,7 +58,12 @@ from .preclone import (
     target_tupling,
     transformation_pgpair,
 )
-from .syntactic import Context, syntactic_congruence, syntactic_pgpair
+from .syntactic import (
+    Context,
+    insert_in_context,
+    syntactic_congruence,
+    syntactic_pgpair,
+)
 from .preclone import quotient as preclone_quotient
 from .blockprod import BlockProduct
 from .trees import RankedAlphabet, RankedTree, rank as tree_rank
@@ -421,7 +426,7 @@ def _image_closure(T, tau: Morphism, ext, k, variables, x):
         for name, m, extra, has_x in letters:
             img = tau.image[name]
             pools = []
-            shapes = _shapes(k, m)
+            shapes = T.tuple_shapes(m, k)
             for shape in shapes:
                 pool = [sorted(by_rank[r]) for r in shape]
                 if any(not p for p in pool):
@@ -442,16 +447,6 @@ def _image_closure(T, tau: Morphism, ext, k, variables, x):
                         by_rank[r].add(entry)
                         changed = True
     return by_rank
-
-
-def _shapes(total, parts):
-    if parts == 0:
-        return [()]
-    out = []
-    for first in range(total + 1):
-        for rest in _shapes(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
@@ -561,7 +556,7 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
         with_x = tau.image[ext_symbol(base, set(zs) | {x})]
 
         def f_value(c, n=n, with_x=with_x):
-            w = T.plug(c.u, c.k1, T.compose(with_x, c.v), c.k2)
+            w = insert_in_context(T, with_x, c)
             holding = [d for d in arity_delta.get(n, []) if w in P[d]]
             if len(holding) == 1:
                 return kappa[holding[0]]

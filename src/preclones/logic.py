@@ -144,16 +144,6 @@ def free_vars(phi) -> frozenset:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def subformula_count(phi) -> int:
-    if isinstance(phi, Not):
-        return 1 + subformula_count(phi.sub)
-    if isinstance(phi, (Or, And)):
-        return 1 + subformula_count(phi.left) + subformula_count(phi.right)
-    if isinstance(phi, QK):
-        return 1 + sum(subformula_count(f) for _, f in phi.family)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # satisfaction
 
@@ -345,14 +335,6 @@ def destructure(t: RankedTree, zs=None):
     if zs is not None and set(lam) != set(zs):
         raise ValueError(f"structure carries {sorted(lam)}, expected {sorted(zs)}")
     return base_tree, lam
-
-
-def is_structure(t: RankedTree, zs) -> bool:
-    try:
-        destructure(t, zs)
-        return True
-    except ValueError:
-        return False
 
 
 def structures(sigma, zs, k, max_nv):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow
-from .trees import RankedAlphabet, RankedTree
+from .trees import RankedAlphabet, RankedTree, compositions
 
 El = tuple  # (rank, index)
 
@@ -116,7 +116,7 @@ class FinitaryPreclone:
     def tuple_shapes(self, width, max_total=None):
         """All rank vectors of a given width with total rank <= max_total."""
         cap = self.trunc if max_total is None else max_total
-        return _compositions_upto(cap, width)
+        return [c[:-1] for c in compositions(cap, width + 1)]
 
     def iter_tuples(self, width, total=None):
         """All argument tuples of the given width (total rank bound trunc)."""
@@ -132,22 +132,6 @@ class FinitaryPreclone:
             for f in self.sort(n):
                 for gs in self.iter_tuples(n):
                     yield f, gs
-
-
-def _compositions_upto(total, parts):
-    out = []
-
-    def rec(prefix, remaining, left):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            prefix.append(v)
-            rec(prefix, remaining - v, left - 1)
-            prefix.pop()
-
-    rec([], total, parts)
-    return out
 
 
 def close_under_composition(pre: FinitaryPreclone, budget=DEFAULT_BUDGET):
@@ -205,7 +189,7 @@ def close_for_evaluation(pre: FinitaryPreclone, cap, budget=DEFAULT_BUDGET):
     while True:
         size_before = pre.size()
         for f in list(pre.elements()):
-            for ranks in _compositions_upto(cap, f[0]):
+            for ranks in pre.tuple_shapes(f[0], cap):
                 pools = [pre.sort(r) for r in ranks]
                 if any(not p for p in pools):
                     continue
@@ -254,11 +238,6 @@ class Morphism:
             return self.target.unit
         imgs = [self.eval(c) for c in t.children]
         return self.target.compose(self.image[t.label], imgs)
-
-
-def compose_p(S: FinitaryPreclone, f: El, gs) -> El:
-    """Composition as a free function (see FinitaryPreclone.compose)."""
-    return S.compose(f, gs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +343,6 @@ def accepting_elements(res: TransformationResult, finals=None):
     }
 
 
-def morphism_eval(phi: Morphism, t: RankedTree) -> El:
-    return phi.eval(t)
-
-
 # ---------------------------------------------------------------------------
 # T_exists and T_p
 
@@ -445,10 +420,6 @@ def direct_product(factors) -> FinitaryPreclone:
             pre.intern(n, tuple(combo))
     pre.set_unit(pre.lookup(1, tuple(S.unit for S in factors)))
     return pre
-
-
-def product_component(prod: FinitaryPreclone, el: El, i: int) -> El:
-    return prod.key(el)[i]
 
 
 def target_tupling(morphisms, prod: FinitaryPreclone) -> Morphism:

@@ -23,6 +23,7 @@ from .preclone import (
     quotient,
     transformation_pgpair,
 )
+from .trees import compositions
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def enumerate_contexts(T: FinitaryPreclone, k: int, n: int):
             if n == 0 and ell != 0:
                 continue
             vs = []
-            for ranks in _compositions(ell, n):
+            for ranks in compositions(ell, n):
                 pools = [T.sort(r) for r in ranks]
                 if any(not p for p in pools):
                     continue
@@ -60,20 +61,43 @@ def enumerate_contexts(T: FinitaryPreclone, k: int, n: int):
     return out
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
 def insert_in_context(T: FinitaryPreclone, f, c: Context):
     """u . (k1 units + f.v + k2 units); for rank-0 f this is u.(k1+f+k2)."""
     fv = T.compose(f, c.v)
     return T.plug(c.u, c.k1, fv, c.k2)
+
+
+def stack_contexts(T: FinitaryPreclone, C: Context, D: Context) -> Context:
+    """The context C.D: insert into D, then insert the result into C.
+
+    C is n-ary in sort k and D is m-ary in sort n; C.D is m-ary in sort k
+    with insert(f, C.D) == insert(insert(f, D), C) for every rank-m f.
+    D.u absorbs the first D.k1 and last D.k2 components of C.v and is
+    plugged into C.u; each component of D.v absorbs its slice of the
+    middle of C.v.  Stacking is associative.
+
+    Truncation: every intermediate has rank at most k+1, the rank bound
+    that contexts in sort k already need (D.u composed with the absorbed
+    components has rank at most k+1 - C.k1 - C.k2, and each middle slice
+    composes into a rank at most k), so T's sorts suffice.
+    """
+    n = len(C.v)
+    if D.k1 + _rank(D.v) + D.k2 != n:
+        raise ValueError(f"context {D} is not in sort {n}")
+    left = C.v[: D.k1]
+    middle = C.v[D.k1 : n - D.k2]
+    right = C.v[n - D.k2 :]
+    u = T.plug(C.u, C.k1, T.compose(D.u, left + (T.unit,) + right), C.k2)
+    v = []
+    pos = 0
+    for w in D.v:
+        v.append(T.compose(w, middle[pos : pos + w[0]]))
+        pos += w[0]
+    return Context(u, C.k1 + _rank(left), tuple(v), _rank(right) + C.k2)
+
+
+def _rank(els):
+    return sum(el[0] for el in els)
 
 
 def is_L_context(T: FinitaryPreclone, P, f, c: Context) -> bool:

@@ -9,6 +9,7 @@ tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -376,15 +377,22 @@ def parse_tree(text: str, alph: RankedAlphabet, expect_rank=None) -> RankedTree:
 # enumeration
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative ints summing to `total`."""
+@functools.cache
+def compositions(total, parts):
+    """All tuples of `parts` non-negative ints summing to `total`.
+
+    Lexicographic order.  Tuples summing to at most `total` are
+    ``c[:-1] for c in compositions(total, parts + 1)``: the last part is
+    the slack, so that order is lexicographic too.  Cached: the axiom walk
+    asks for the same few small shapes once per composition.
+    """
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in compositions(total - first, parts - 1)
+    )
 
 
 def _trees_exact(alph, k, nv, memo):
@@ -400,8 +408,8 @@ def _trees_exact(alph, k, nv, memo):
         for name, m in alph.symbols:
             if nv - 1 == 0 and m > 0:
                 continue
-            for ranks in _compositions(k, m):
-                for nvs in _compositions(nv - 1, m):
+            for ranks in compositions(k, m):
+                for nvs in compositions(nv - 1, m):
                     child_sets = [
                         _trees_exact(alph, ranks[i], nvs[i], memo) for i in range(m)
                     ]

@@ -188,6 +188,17 @@ def test_restricted_carrier_size_proper_sub():
     assert r.compose(f, []) == f
 
 
+def test_restricted_compose_rejects_a_non_closed_sub_preclone():
+    # true_1 . false_0 = true_0 lies outside t_elements, which is not closed
+    S = t_exists(2).preclone
+    false_0, or_1, true_1 = (0, 0), (1, 0), (1, 1)
+    r = restricted_block_product(S, S, [[false_0], [or_1, true_1], []], 0)
+    f = next(el for el in r.iter_carrier(1) if el[1] == true_1)
+    g = next(r.iter_carrier(0))
+    with pytest.raises(ValueError, match="restricted product"):
+        r.compose(f, [g])
+
+
 def test_alpha_identity_context_is_identity():
     pg = t_exists(3)
     S = pg.preclone

@@ -12,8 +12,6 @@ from preclones.preclone import (
     dump_preclone,
     identity_partition,
     load_preclone,
-    morphism_eval,
-    product_component,
     quotient,
     sub_pgpair_generated,
     t_exists,
@@ -122,7 +120,7 @@ def test_transformation_rank0_equals_run():
     a = k_mod(DBOOL, 0, 3, 1)
     res = transformation_pgpair(a, 3)
     for t in enumerate_trees(DBOOL, 0, 3):
-        el = morphism_eval(res.morphism, t)
+        el = res.morphism.eval(t)
         assert apply_transformation(res.pgpair.preclone, el, ()) == a.run(t)
 
 
@@ -142,14 +140,14 @@ def test_transformation_word_alphabet_transition_monoid():
 
 def test_morphism_eval_unit():
     res = transformation_pgpair(k_exists(DBOOL, 0), 3)
-    assert morphism_eval(res.morphism, UNIT) == res.pgpair.preclone.unit
+    assert res.morphism.eval(UNIT) == res.pgpair.preclone.unit
 
 
 def test_morphism_eval_example():
     res = transformation_pgpair(k_exists(DBOOL, 0), 3)
     S = res.pgpair.preclone
     t = parse_tree("0_2(1_0,0_0)", DBOOL)
-    el = morphism_eval(res.morphism, t)
+    el = res.morphism.eval(t)
     assert apply_transformation(S, el, ()) == 1  # lands in the 'seen a one' state
 
 
@@ -164,9 +162,9 @@ def test_morphism_is_homomorphic_random():
     for _ in range(50):
         f = trees1[rng.randrange(len(trees1))]
         g = trees0[rng.randrange(len(trees0))]
-        lhs = morphism_eval(res.morphism, tcompose(f, (g,)))
+        lhs = res.morphism.eval(tcompose(f, (g,)))
         rhs = res.pgpair.preclone.compose(
-            morphism_eval(res.morphism, f), (morphism_eval(res.morphism, g),)
+            res.morphism.eval(f), (res.morphism.eval(g),)
         )
         assert lhs == rhs
 
@@ -181,18 +179,18 @@ def test_morphism_is_homomorphic_exhaustive():
     pool = {r: list(enumerate_trees(DBOOL, r, 3)) for r in (0, 1, 2)}
     for f in pool[1]:
         for g in pool[0] + pool[1]:
-            lhs = morphism_eval(res.morphism, tcompose(f, (g,)))
+            lhs = res.morphism.eval(tcompose(f, (g,)))
             rhs = S.compose(
-                morphism_eval(res.morphism, f), (morphism_eval(res.morphism, g),)
+                res.morphism.eval(f), (res.morphism.eval(g),)
             )
             assert lhs == rhs
     for f in pool[2][:12]:
         for g1 in pool[0][:4]:
             for g2 in pool[1][:4]:
-                lhs = morphism_eval(res.morphism, tcompose(f, (g1, g2)))
+                lhs = res.morphism.eval(tcompose(f, (g1, g2)))
                 rhs = S.compose(
-                    morphism_eval(res.morphism, f),
-                    (morphism_eval(res.morphism, g1), morphism_eval(res.morphism, g2)),
+                    res.morphism.eval(f),
+                    (res.morphism.eval(g1), res.morphism.eval(g2)),
                 )
                 assert lhs == rhs
 
@@ -202,7 +200,7 @@ def test_accepting_elements_decide_language():
     res = transformation_pgpair(a, 3)
     P = accepting_elements(res)
     for t in enumerate_trees(DBOOL, 0, 4):
-        assert (morphism_eval(res.morphism, t) in P) == a.accepts(t)
+        assert (res.morphism.eval(t) in P) == a.accepts(t)
 
 
 def test_direct_product_sizes_and_unit():
@@ -227,9 +225,9 @@ def test_direct_product_componentwise_random():
         got = P.compose(f, gs)
         for i in range(2):
             want = T.compose(
-                product_component(P, f, i), [product_component(P, g, i) for g in gs]
+                P.key(f)[i], [P.key(g)[i] for g in gs]
             )
-            assert product_component(P, got, i) == want
+            assert P.key(got)[i] == want
 
 
 def test_target_tupling_is_morphism():

@@ -13,7 +13,6 @@ from preclones.errors import RankOverflow
 from preclones.preclone import (
     accepting_elements,
     check_axioms,
-    morphism_eval,
     t_exists,
     t_mod,
     transformation_pgpair,
@@ -114,14 +113,14 @@ def test_syntactic_morphism_recognizes():
     a = k_mod(DBOOL, 0, 2, 1)
     syn = syntactic_pgpair(a, 3)
     for t in enumerate_trees(DBOOL, 0, 4):
-        assert (morphism_eval(syn.morphism, t) in syn.accepting) == a.accepts(t)
+        assert (syn.morphism.eval(t) in syn.accepting) == a.accepts(t)
 
 
 def test_congruence_saturates_language():
     a = k_exists(DBOOL, 1)
     syn = syntactic_pgpair(a, 3)
     for t in enumerate_trees(DBOOL, 1, 3):
-        assert (morphism_eval(syn.morphism, t) in syn.accepting) == a.accepts(t)
+        assert (syn.morphism.eval(t) in syn.accepting) == a.accepts(t)
 
 
 def test_context_membership_equals_double_quotient():
