@@ -375,13 +375,6 @@ def k_forall_next(alph: RankedAlphabet, k: int) -> TreeAutomaton:
     return _make(alph, k, 6, enc(0, True), delta, finals)
 
 
-BUILTIN_LANGS = {
-    "k_exists": k_exists,
-    "k_path": k_path,
-    "k_forall_next": k_forall_next,
-}
-
-
 # ---------------------------------------------------------------------------
 # text format
 

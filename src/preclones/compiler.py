@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import TreeAutomaton, minimize
+from .automata import TreeAutomaton, complement, intersect, minimize, union
 from .errors import DeterminismViolation, RankOverflow
 from .logic import (
     And,
@@ -294,19 +294,11 @@ def compile_atomic(phi, sigma: RankedAlphabet, variables, k: int,
 # products of recognizers
 
 
-def _product_automaton(a: TreeAutomaton, b: TreeAutomaton, rule) -> TreeAutomaton:
-    from .automata import _product
-
-    return minimize(_product(a, b, rule))
-
-
 def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
              budget) -> CompiledRecognizer:
+    aut = minimize((union if is_or else intersect)(r1.automaton, r2.automaton))
     if r1.pgpair is r2.pgpair:
         acc = r1.accepting | r2.accepting if is_or else r1.accepting & r2.accepting
-        aut = _product_automaton(
-            r1.automaton, r2.automaton, (lambda x, y: x or y) if is_or else (lambda x, y: x and y)
-        )
         return CompiledRecognizer(
             r1.pgpair, r1.gamma, frozenset(acc), r1.valid, r1.rank,
             r1.variables, r1.sigma, r1.ext_alphabet, aut,
@@ -336,9 +328,6 @@ def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
             prod.key(carrier.key(el))[1] in r2.accepting,
         )
     )
-    aut = _product_automaton(
-        r1.automaton, r2.automaton, (lambda x, y: x or y) if is_or else (lambda x, y: x and y)
-    )
     return CompiledRecognizer(
         sub, gamma, accepting, valid, k, r1.variables, r1.sigma,
         r1.ext_alphabet, aut,
@@ -346,14 +335,9 @@ def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
 
 
 def _negate(rec: CompiledRecognizer) -> CompiledRecognizer:
-    aut = rec.automaton
-    flipped = TreeAutomaton(
-        aut.alphabet, aut.rank, aut.n_states, aut.var_state, aut.transitions,
-        frozenset(range(aut.n_states)) - aut.finals,
-    )
     return CompiledRecognizer(
         rec.pgpair, rec.gamma, frozenset(rec.valid - rec.accepting), rec.valid,
-        rec.rank, rec.variables, rec.sigma, rec.ext_alphabet, flipped,
+        rec.rank, rec.variables, rec.sigma, rec.ext_alphabet, complement(rec.automaton),
     )
 
 

@@ -16,7 +16,8 @@ with free variables cannot be interpreted on it; sentences can.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 from .automata import TreeAutomaton, boolean_alphabet, k_exists, k_mod
 from .errors import DeterminismViolation, ParseError
@@ -355,51 +356,39 @@ def structures(sigma, zs, k, max_nv):
 # substitution and rewritings
 
 
-_fresh_counter = itertools.count(1)
-
-
-def fresh_var(base="z"):
-    return f"{base}${next(_fresh_counter)}"
+def _map_subformulas(phi, fn):
+    """phi with ``fn`` applied to each immediate subformula; atoms are kept."""
+    if isinstance(phi, Not):
+        return Not(fn(phi.sub))
+    if isinstance(phi, Or):
+        return Or(fn(phi.left), fn(phi.right))
+    if isinstance(phi, And):
+        return And(fn(phi.left), fn(phi.right))
+    if isinstance(phi, QK):
+        return replace(phi, family=tuple((d, fn(f)) for d, f in phi.family))
+    if isinstance(phi, ATOMS) or isinstance(phi, (TrueF, FalseF)):
+        return phi
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def substitute_var(chi, q: str, p: str):
     """chi[q/p]: substitute q for the free occurrences of p, avoiding capture."""
     if p == q:
         return chi
-    if isinstance(chi, PSym):
-        return PSym(chi.sym, q if chi.x == p else chi.x)
-    if isinstance(chi, Less):
-        return Less(q if chi.x == p else chi.x, q if chi.y == p else chi.y)
-    if isinstance(chi, Succ):
-        return Succ(chi.i, q if chi.x == p else chi.x, q if chi.y == p else chi.y)
-    if isinstance(chi, Root):
-        return Root(q if chi.x == p else chi.x)
-    if isinstance(chi, Max):
-        return Max(chi.i, chi.j, q if chi.x == p else chi.x)
-    if isinstance(chi, LeftJ):
-        return LeftJ(chi.j, q if chi.x == p else chi.x)
-    if isinstance(chi, RightJ):
-        return RightJ(chi.j, q if chi.x == p else chi.x)
-    if isinstance(chi, (TrueF, FalseF)):
-        return chi
-    if isinstance(chi, Not):
-        return Not(substitute_var(chi.sub, q, p))
-    if isinstance(chi, Or):
-        return Or(substitute_var(chi.left, q, p), substitute_var(chi.right, q, p))
-    if isinstance(chi, And):
-        return And(substitute_var(chi.left, q, p), substitute_var(chi.right, q, p))
+    if isinstance(chi, ATOMS):
+        return replace(chi, **{f: q for f in ("x", "y") if getattr(chi, f, None) == p})
     if isinstance(chi, QK):
         if chi.var == p:  # p is bound here; no free occurrences inside
             return chi
         if chi.var == q:  # rename the binder first to avoid capture
-            z = fresh_var(chi.var.split("$")[0])
-            fam = tuple(
-                (d, substitute_var(f, z, chi.var)) for d, f in chi.family
-            )
-            chi = QK(chi.name, chi.lang, z, fam)
-        fam = tuple((d, substitute_var(f, q, p)) for d, f in chi.family)
-        return QK(chi.name, chi.lang, chi.var, fam)
-    raise TypeError(f"not a formula: {chi!r}")
+            # the new name, the first base$n that is not free in chi and is
+            # neither q nor p, is then neither captured nor substituted
+            old, base = chi.var, chi.var.split("$")[0]
+            taken = free_vars(chi) | {p, q}
+            names = (f"{base}${n}" for n in itertools.count(1))
+            z = next(v for v in names if v not in taken)
+            chi = replace(_map_subformulas(chi, lambda f: substitute_var(f, z, old)), var=z)
+    return _map_subformulas(chi, lambda f: substitute_var(f, q, p))
 
 
 def rank_test(z: str, n: int, sigma: RankedAlphabet):
@@ -439,24 +428,7 @@ def _tilde(chi, x, formulas, arity, sigma):
             raise ValueError(f"letter {chi.sym} not covered by the family")
         body = substitute_var(formulas[chi.sym], chi.x, x)
         return And(rank_test(chi.x, arity[chi.sym], sigma), body)
-    if isinstance(chi, ATOMS) or isinstance(chi, (TrueF, FalseF)):
-        return chi
-    if isinstance(chi, Not):
-        return Not(_tilde(chi.sub, x, formulas, arity, sigma))
-    if isinstance(chi, Or):
-        return Or(
-            _tilde(chi.left, x, formulas, arity, sigma),
-            _tilde(chi.right, x, formulas, arity, sigma),
-        )
-    if isinstance(chi, And):
-        return And(
-            _tilde(chi.left, x, formulas, arity, sigma),
-            _tilde(chi.right, x, formulas, arity, sigma),
-        )
-    if isinstance(chi, QK):
-        fam = tuple((d, _tilde(f, x, formulas, arity, sigma)) for d, f in chi.family)
-        return QK(chi.name, chi.lang, chi.var, fam)
-    raise TypeError(f"not a formula: {chi!r}")
+    return _map_subformulas(chi, lambda f: _tilde(f, x, formulas, arity, sigma))
 
 
 def inverse_literal_image(phi, h: dict, source: RankedAlphabet, target: RankedAlphabet):
@@ -478,17 +450,7 @@ def inverse_literal_image(phi, h: dict, source: RankedAlphabet, target: RankedAl
             for i, a in enumerate(pre):
                 out = PSym(a, f.x) if i == 0 else Or(out, PSym(a, f.x))
             return out
-        if isinstance(f, ATOMS) or isinstance(f, (TrueF, FalseF)):
-            return f
-        if isinstance(f, Not):
-            return Not(rec(f.sub))
-        if isinstance(f, Or):
-            return Or(rec(f.left), rec(f.right))
-        if isinstance(f, And):
-            return And(rec(f.left), rec(f.right))
-        if isinstance(f, QK):
-            return QK(f.name, f.lang, f.var, tuple((d, rec(g)) for d, g in f.family))
-        raise TypeError(f"not a formula: {f!r}")
+        return _map_subformulas(f, rec)
 
     return rec(phi)
 
@@ -526,7 +488,10 @@ def desugar_mod(p, r, x, phi, sigma: RankedAlphabet, k: int) -> QK:
 # parser
 
 
-_PUNCT = ["->", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "<", "&", "|", "!"]
+_VARIABLE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_KEYWORDS = frozenset(
+    {"exists", "mod", "true", "false", "root", "max", "left", "right", "P", "Q"}
+)
 
 
 def _tokenize(text):
@@ -562,6 +527,7 @@ class _FormulaParser:
         self.sigma = sigma
         self.k = k
         self.langs = langs or {}
+        self.binders = []  # written names of the enclosing binders, outermost first
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -593,9 +559,10 @@ class _FormulaParser:
         tok = self.peek()
         if tok == "exists":
             self.next()
-            x = self.variable()
+            x = self.bind()
             self.expect(".")
             body = self.quantified()
+            self.binders.pop()
             return exists_formula(x, body, self.sigma, self.k)
         if tok == "mod":
             self.next()
@@ -604,9 +571,10 @@ class _FormulaParser:
             self.expect(",")
             r = self.integer()
             self.expect("]")
-            x = self.variable()
+            x = self.bind()
             self.expect(".")
             body = self.quantified()
+            self.binders.pop()
             if not (p >= 2 and 0 <= r < p):
                 raise ParseError(f"bad modulus parameters ({p},{r})")
             return desugar_mod(p, r, x, body, self.sigma, self.k)
@@ -615,7 +583,7 @@ class _FormulaParser:
             self.expect("[")
             name = self.next()
             self.expect("]")
-            x = self.variable()
+            x = self.bind()
             self.expect("{")
             fam = []
             while True:
@@ -630,6 +598,7 @@ class _FormulaParser:
                 if self.peek() == "}":
                     self.next()
                     break
+            self.binders.pop()
             lang = self.langs.get(name)
             if lang is None:
                 raise ParseError(f"unknown language {name!r}")
@@ -697,12 +666,25 @@ class _FormulaParser:
         return int(tok)
 
     def variable(self):
+        """A written variable name: [A-Za-z][A-Za-z0-9_]*, not a keyword."""
         tok = self.next()
-        if not tok or not (tok[0].isalpha()) or tok in (
-            "exists", "mod", "true", "false", "root", "max", "left", "right", "P", "Q",
-        ):
+        if not _VARIABLE.fullmatch(tok) or tok in _KEYWORDS:
             raise ParseError(f"bad variable name {tok!r}")
         return tok
+
+    def bind(self):
+        """Open the scope of a binder; a binder written x at depth d is x$d."""
+        x = self.variable()
+        self.binders.append(x)
+        return f"{x}${len(self.binders)}"
+
+    def reference(self):
+        """A variable occurrence: the innermost binder so written, else free."""
+        x = self.variable()
+        for d in range(len(self.binders), 0, -1):
+            if self.binders[d - 1] == x:
+                return f"{x}${d}"
+        return x
 
     def atom(self):
         tok = self.peek()
@@ -725,13 +707,13 @@ class _FormulaParser:
             if sym not in self.sigma.arity:
                 raise ParseError(f"unknown symbol {sym!r}")
             self.expect("(")
-            x = self.variable()
+            x = self.reference()
             self.expect(")")
             return PSym(sym, x)
         if tok == "root":
             self.next()
             self.expect("(")
-            x = self.variable()
+            x = self.reference()
             self.expect(")")
             return Root(x)
         if tok == "max":
@@ -742,7 +724,7 @@ class _FormulaParser:
             j = self.integer()
             self.expect("]")
             self.expect("(")
-            x = self.variable()
+            x = self.reference()
             self.expect(")")
             if not 1 <= i <= self.sigma.max_arity:
                 raise ParseError(f"successor index {i} out of range")
@@ -755,7 +737,7 @@ class _FormulaParser:
             j = self.integer()
             self.expect("]")
             self.expect("(")
-            x = self.variable()
+            x = self.reference()
             self.expect(")")
             return self._leftright(tok, j, x)
         if tok is not None and tok.startswith("succ_"):
@@ -767,15 +749,15 @@ class _FormulaParser:
             if not 1 <= i <= self.sigma.max_arity:
                 raise ParseError(f"successor index {i} out of range")
             self.expect("(")
-            x = self.variable()
+            x = self.reference()
             self.expect(",")
-            y = self.variable()
+            y = self.reference()
             self.expect(")")
             return Succ(i, x, y)
         # x < y
-        x = self.variable()
+        x = self.reference()
         self.expect("<")
-        y = self.variable()
+        y = self.reference()
         return Less(x, y)
 
     def _leftright(self, kind, j, x):
@@ -803,26 +785,13 @@ class _FormulaParser:
         return RightJ(j, x)
 
 
-def _alpha_rename(phi):
-    """Give every bound variable a fresh name so substitution never captures."""
-    if isinstance(phi, Not):
-        return Not(_alpha_rename(phi.sub))
-    if isinstance(phi, Or):
-        return Or(_alpha_rename(phi.left), _alpha_rename(phi.right))
-    if isinstance(phi, And):
-        return And(_alpha_rename(phi.left), _alpha_rename(phi.right))
-    if isinstance(phi, QK):
-        fam = tuple((d, _alpha_rename(f)) for d, f in phi.family)
-        z = fresh_var(phi.var.split("$")[0])
-        fam = tuple((d, substitute_var(f, z, phi.var)) for d, f in fam)
-        return QK(phi.name, phi.lang, z, fam)
-    return phi
-
-
 def parse_formula(text: str, sigma: RankedAlphabet, k: int, langs=None):
-    """Parse a formula of rank k over sigma; bound variables are renamed fresh.
+    """Parse a formula of rank k over sigma.
 
-    ``langs`` maps quantifier language names to rank-k automata.
+    A binder written x at nesting depth d (outermost 1) is named x$d, and
+    each occurrence of x refers to the innermost enclosing binder written
+    x, so equal texts parse to equal formulas.  ``langs`` maps quantifier
+    language names to rank-k automata.
     """
     parser = _FormulaParser(_tokenize(text), sigma, k, langs)
-    return _alpha_rename(parser.parse())
+    return parser.parse()

@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
 from preclones.automata import boolean_alphabet, k_exists, k_path
+from preclones.cli import load_formula_file
 from preclones.compiler import (
     CompiledRecognizer,
     Compiler,
@@ -36,6 +39,7 @@ from preclones.trees import UNIT, alphabet, enumerate_trees
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def assert_equiv(phi, sigma, Y, k, max_nv=3):
@@ -252,6 +256,15 @@ def test_compiler_cache_shares_recognizers():
     r1 = comp.compile(phi, ("x",))
     r2 = comp.compile(phi, ("x",))
     assert r1 is r2
+
+
+def test_compiler_cache_shares_family_copies():
+    # ex04 is exists x. exists y. ...: the inner quantifier's four family
+    # copies are one formula, compiled once
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, "ex04.lind"))
+    comp = Compiler(sigma, k)
+    comp.compile(phi, ())
+    assert len(comp._cache) <= 7
 
 
 def test_rank_mismatch_rejected():

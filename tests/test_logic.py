@@ -106,7 +106,7 @@ def test_parse_exists_desugars_to_boolean_family():
     fam = dict(phi.family)
     assert set(fam) == {"1_0", "1_2", "0_0", "0_2"}
     assert isinstance(fam["0_2"], Not)
-    # bound variable was renamed fresh
+    # the binder is named by its depth
     assert phi.var.startswith("x$")
     assert free_vars(phi) == frozenset()
 
@@ -127,6 +127,49 @@ def test_parse_qk_family_checks():
         SIG, 0, langs,
     )
     assert isinstance(phi, QK)
+
+
+@pytest.mark.parametrize("text", [
+    "exists x. x$1 < x",  # would be captured by the binder named x$1
+    "P[a](u@v)",  # would encode as the structure label a@u@v
+])
+def test_parse_rejects_reserved_characters_in_variables(text):
+    with pytest.raises(ParseError):
+        parse_formula(text, SIG, 0)
+
+
+def test_parse_names_binders_by_depth():
+    phi = parse_formula("exists x. P[a](x) & (exists x. root(x)) & x<z", SIG, 0)
+    assert phi.var == "x$1"
+    body = dict(phi.family)["1_0"]
+    inner = body.left.right
+    assert inner.var == "x$2"
+    assert dict(inner.family)["1_0"] == Root("x$2")
+    assert body.left.left == PSym("a", "x$1")
+    assert body.right == Less("x$1", "z")
+    assert free_vars(phi) == {"z"}
+
+
+def test_parse_twice_gives_equal_asts():
+    # Q[K] takes its automaton from langs; exists and mod build a new one per
+    # quantifier, and QK.lang compares by identity
+    langs = {"K": k_exists(DBOOL, 0)}
+    text = (
+        "Q[K] x { 1_0: P[a](x); 0_0: !P[a](x); 0_2: !P[a](x); "
+        "1_2: Q[K] y { 1_0: x<y; 0_0: !(x<y); 1_2: x<y; 0_2: !(x<y) } }"
+    )
+    first = parse_formula(text, SIG, 0, langs)
+    second = parse_formula(text, SIG, 0, langs)
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+def test_nested_exists_family_copies_are_equal():
+    phi = parse_formula("exists x. exists y. x<y & P[1_0](y)", DBOOL, 0)
+    inners = {f.sub if isinstance(f, Not) else f for _, f in phi.family}
+    assert len(inners) == 1
+    (inner,) = inners
+    assert isinstance(inner, QK) and inner.var == "y$2"
 
 
 # -- satisfaction -------------------------------------------------------------
@@ -349,6 +392,23 @@ def test_substitute_var_avoids_capture():
     # semantics preserved: out says "exists z. z < q"
     t = parse_tree("f(a,b)", SIG)
     assert satisfies(t, {"q": (0,)}, out) == satisfies(t, {"p": (0,)}, inner)
+
+
+def test_substitute_var_capture_is_deterministic():
+    inner = exists_formula("q", Less("q", "p"), SIG, 0)
+    first = substitute_var(inner, "q", "p")
+    assert first == substitute_var(inner, "q", "p")
+    assert first.var == "q$1"
+
+
+def test_substitute_var_renamed_binder_avoids_substituted_name():
+    # the binder x$2 must not become x$1: those occurrences would then be
+    # replaced by x$2 and escape their binder
+    inner = exists_formula("x$2", Less("x$2", "w"), SIG, 0)
+    out = substitute_var(inner, "x$2", "x$1")
+    assert free_vars(out) == {"w"}
+    t = parse_tree("f(a,b)", SIG)
+    assert satisfies(t, {"w": (0,)}, out) == satisfies(t, {"w": (0,)}, inner)
 
 
 def test_tilde_substitute_trivial():
