@@ -4,12 +4,18 @@ A rank-k language is represented by a classical DFTA over the alphabet
 extended with k variable-leaf symbols: ``var_state[j]`` is the state a
 v_{j+1} leaf evaluates to.  Membership is meaningful for valid rank-k
 trees only.
+
+``explore`` is the one reachability construction: every automaton built
+bottom-up (the Boolean products, ``product``, the compiler's atom,
+image and carrier automata) is the least state set closed under a step
+function, found by semi-naive evaluation, and ``build`` numbers it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ParseError
 from .trees import (
@@ -75,38 +81,101 @@ def complement(a: TreeAutomaton) -> TreeAutomaton:
     )
 
 
-def _product(a: TreeAutomaton, b: TreeAutomaton, final_rule) -> TreeAutomaton:
-    _check_compatible(a, b)
-    n = a.n_states * b.n_states
+def explore(alphabet: RankedAlphabet, seeds, step):
+    """The least state set holding ``seeds`` and closed under ``step``.
 
-    def enc(p, q):
-        return p * b.n_states + q
+    ``step(name, child_states)`` gives the state of a letter over a tuple
+    of states.  Semi-naive: each round applies a letter of arity m only to
+    tuples touching a state new in the previous round; position i takes a
+    new state, positions before i an older one and positions after i any,
+    so every tuple over the result is evaluated exactly once.  Returns
+    (states, tables) with ``tables[name][child_states]`` every value
+    computed, which is total over the result.
+    """
+    symbols = alphabet.symbols
+    tables = {name: {} for name, _ in symbols}
+    states = set()
+    new = []
 
-    transitions = {}
-    for name, m in a.alphabet.symbols:
-        ta, tb = a.transitions[name], b.transitions[name]
-        table = {}
-        for combo in itertools.product(range(n), repeat=m):
-            ps = tuple(c // b.n_states for c in combo)
-            qs = tuple(c % b.n_states for c in combo)
-            table[combo] = enc(ta[ps], tb[qs])
-        transitions[name] = table
-    finals = frozenset(
-        enc(p, q)
-        for p in range(a.n_states)
-        for q in range(b.n_states)
-        if final_rule(p in a.finals, q in b.finals)
+    def record(name, combo):
+        q = tables[name][combo] = step(name, combo)
+        if q not in states:
+            states.add(q)
+            new.append(q)
+
+    for q in seeds:
+        if q not in states:
+            states.add(q)
+            new.append(q)
+    for name, m in symbols:
+        if m == 0:
+            record(name, ())
+    old = []
+    while new:
+        fresh, every = new, old + new
+        new = []
+        for name, m in symbols:
+            for i in range(m):
+                pools = [old] * i + [fresh] + [every] * (m - i - 1)
+                for combo in itertools.product(*pools):
+                    record(name, combo)
+        old = every
+    return states, tables
+
+
+def build(alphabet: RankedAlphabet, k: int, var_states, step, finals):
+    """The automaton on the states reachable from ``var_states`` by ``step``.
+
+    States are numbered in sorted order; ``finals`` is a predicate on
+    them.  Returns (automaton, the states in that order).
+    """
+    states, tables = explore(alphabet, var_states, step)
+    ordered = sorted(states)
+    idx = {q: i for i, q in enumerate(ordered)}
+    transitions = {
+        name: {tuple(idx[c] for c in combo): idx[q] for combo, q in table.items()}
+        for name, table in tables.items()
+    }
+    aut = TreeAutomaton(
+        alphabet, k, len(ordered), tuple(idx[q] for q in var_states), transitions,
+        frozenset(i for i, q in enumerate(ordered) if finals(q)),
     )
-    var_state = tuple(enc(a.var_state[j], b.var_state[j]) for j in range(a.rank))
-    return TreeAutomaton(a.alphabet, a.rank, n, var_state, transitions, finals)
+    return aut, ordered
+
+
+def product(automata):
+    """Reachable product of automata over one alphabet and rank.
+
+    Returns (automaton without finals, the state tuples in state order).
+    """
+    first = automata[0]
+    for a in automata[1:]:
+        _check_compatible(first, a)
+    var_states = [tuple(a.var_state[j] for a in automata) for j in range(first.rank)]
+
+    def step(name, combo):
+        return tuple(
+            a.transitions[name][tuple(c[i] for c in combo)]
+            for i, a in enumerate(automata)
+        )
+
+    return build(first.alphabet, first.rank, var_states, step, lambda q: False)
+
+
+def _boolean(a: TreeAutomaton, b: TreeAutomaton, final_rule) -> TreeAutomaton:
+    aut, pairs = product([a, b])
+    finals = frozenset(
+        i for i, (p, q) in enumerate(pairs) if final_rule(p in a.finals, q in b.finals)
+    )
+    return replace(aut, finals=finals)
 
 
 def intersect(a, b):
-    return _product(a, b, lambda x, y: x and y)
+    return _boolean(a, b, lambda x, y: x and y)
 
 
 def union(a, b):
-    return _product(a, b, lambda x, y: x or y)
+    return _boolean(a, b, lambda x, y: x or y)
 
 
 def reachable_states(a: TreeAutomaton):
@@ -115,18 +184,8 @@ def reachable_states(a: TreeAutomaton):
     Variable states may be combined freely, which over-approximates
     reachability by valid trees; that is harmless for minimization.
     """
-    reach = set(a.var_state)
-    changed = True
-    while changed:
-        changed = False
-        for name, m in a.alphabet.symbols:
-            table = a.transitions[name]
-            for combo in itertools.product(sorted(reach), repeat=m):
-                q = table[combo]
-                if q not in reach:
-                    reach.add(q)
-                    changed = True
-    return reach
+    states, _ = explore(a.alphabet, a.var_state, lambda name, qs: a.transitions[name][qs])
+    return states
 
 
 def minimize(a: TreeAutomaton, finals_list=None):
@@ -307,6 +366,7 @@ def _make(alph, k, n_states, var_q, delta, finals):
     )
 
 
+@functools.cache
 def k_exists(alph: RankedAlphabet, k: int) -> TreeAutomaton:
     """Trees containing at least one 1-labelled node.  States: 0 no, 1 yes."""
     _require_boolean(alph)
@@ -320,6 +380,7 @@ def k_exists(alph: RankedAlphabet, k: int) -> TreeAutomaton:
     )
 
 
+@functools.cache
 def k_mod(alph: RankedAlphabet, k: int, p: int, r: int) -> TreeAutomaton:
     """Trees whose number of 1-labelled nodes is congruent to r mod p."""
     _require_boolean(alph)

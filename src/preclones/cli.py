@@ -14,7 +14,7 @@ import sys
 import time
 
 from .automata import load_automaton
-from .blockprod import BlockProduct
+from .blockprod import BlockProduct, block_product_pg
 from .compiler import check_equivalence, compile_formula
 from .errors import PrecloneError, ParseError
 from .logic import free_vars, parse_formula, satisfies
@@ -24,6 +24,7 @@ from .preclone import (
     el_token,
     load_preclone,
     parse_el,
+    PgPair,
     t_exists,
     t_mod,
     transformation_pgpair,
@@ -143,8 +144,8 @@ def cmd_syntactic(args):
 def cmd_blockprod(args):
     S, s_gens = load_preclone(_read(args.s_dump))
     T, t_gens = load_preclone(_read(args.t_dump))
-    bp = BlockProduct(S, T, args.k, trunc=args.trunc)
     if args.generators:
+        bp = BlockProduct(S, T, args.k, trunc=args.trunc)
         gen_keys = []
         for line in _read(args.generators).splitlines():
             line = line.strip()
@@ -154,16 +155,12 @@ def cmd_blockprod(args):
             f = parse_el(toks[0])
             F = tuple(parse_el(t) for t in toks[1:])
             gen_keys.append(bp.make(F, f))
+        pg = bp.carrier_pgpair(gen_keys, budget=args.budget)
     else:
-        from .blockprod import block_product_pg
-        from .preclone import PgPair
-
-        _, carrier = block_product_pg(
+        _, pg = block_product_pg(
             PgPair(S, s_gens), PgPair(T, t_gens), args.k,
             trunc=args.trunc, budget=args.budget,
         )
-        gen_keys = [carrier.preclone.key(g) for g in carrier.generators]
-    pg = bp.carrier_pgpair(gen_keys, budget=args.budget)
     pre = pg.preclone
     sizes = " ".join(str(pre.sort_size(n)) for n in range(pre.trunc + 1))
     text = f"carrier {sizes}\n" + dump_preclone(pre, pg.generators)

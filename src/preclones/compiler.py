@@ -19,10 +19,18 @@ the formula on valid structures; these feed the next quantifier level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .automata import TreeAutomaton, complement, intersect, minimize, union
+from .automata import (
+    TreeAutomaton,
+    build,
+    complement,
+    explore,
+    intersect,
+    minimize,
+    product,
+    union,
+)
 from .errors import DeterminismViolation, RankOverflow
 from .logic import (
     And,
@@ -117,17 +125,17 @@ def _atom_automaton(phi, sigma: RankedAlphabet, variables, k: int) -> tuple:
     ext = extend_alphabet(sigma, variables)
     zeros = (0,) * len(variables)
     ones = (1,) * len(variables)
-    letters = []
-    for name, m in ext.symbols:
+    letters = {}
+    for name, _ in ext.symbols:
         base, zs = split_symbol(name)
         extra = [0] * len(variables)
         for z in zs:
             extra[vpos[z]] = 1
-        letters.append((name, m, base, zs, tuple(extra)))
+        letters[name] = (base, zs, tuple(extra))
 
     # state: ("var", j) for a v_j leaf, else ("nv", counts, payload)
-    def node_state(letter, child_states):
-        name, m, base, zs, extra = letter
+    def node_state(name, child_states):
+        base, zs, extra = letters[name]
         counts = zeros
         for s in child_states:
             if s[0] == "nv":
@@ -136,54 +144,23 @@ def _atom_automaton(phi, sigma: RankedAlphabet, variables, k: int) -> tuple:
         payload = _payload(phi, base, zs, child_states, vpos, k)
         return ("nv", counts, payload)
 
-    # reachable closure with a frontier: after the first full round, only
-    # combinations touching a newly discovered state need recomputation
-    states = {("var", j) for j in range(1, k + 1)}
-    frontier = set(states)
-    first = True
-    while True:
-        new = set()
-        known = sorted(states)
-        for letter in letters:
-            m = letter[1]
-            for combo in itertools.product(known, repeat=m):
-                if not first and not any(c in frontier for c in combo):
-                    continue
-                s = node_state(letter, combo)
-                if s not in states and s not in new:
-                    new.add(s)
-        if not new:
-            break
-        first = False
-        states |= new
-        frontier = new
-    ordered = sorted(states)
-    idx = {s: i for i, s in enumerate(ordered)}
-    transitions = {}
-    for letter in letters:
-        name, m = letter[0], letter[1]
-        table = {}
-        for combo in itertools.product(range(len(ordered)), repeat=m):
-            s = node_state(letter, tuple(ordered[c] for c in combo))
-            table[combo] = idx[s]
-        transitions[name] = table
-    var_state = tuple(idx[("var", j)] for j in range(1, k + 1))
     # a run ends on a "var" state only for the unit tree, which is a valid
     # structure exactly when there are no variables to place; it satisfies
     # the constant true and nothing else (every other atom needs a node)
     unit_ok = not variables
-    sat = frozenset(
-        idx[s]
-        for s in ordered
-        if (s[0] == "nv" and s[1] == ones and _is_final(phi, s[2]))
-        or (s[0] == "var" and unit_ok and isinstance(phi, TrueF))
-    )
+
+    def is_sat(s):
+        if s[0] == "var":
+            return unit_ok and isinstance(phi, TrueF)
+        return s[1] == ones and _is_final(phi, s[2])
+
+    var_states = [("var", j) for j in range(1, k + 1)]
+    aut, ordered = build(ext, k, var_states, node_state, is_sat)
     valid = frozenset(
-        idx[s]
-        for s in ordered
+        i
+        for i, s in enumerate(ordered)
         if (s[0] == "nv" and s[1] == ones) or (s[0] == "var" and unit_ok)
     )
-    aut = TreeAutomaton(ext, k, len(ordered), var_state, transitions, sat)
     return aut, valid
 
 
@@ -345,92 +322,42 @@ def _negate(rec: CompiledRecognizer) -> CompiledRecognizer:
 # the quantifier case
 
 
-def _product_many(automata):
-    """Reachability-restricted product; returns (automaton, state tuples)."""
-    alph = automata[0].alphabet
-    k = automata[0].rank
-    start = tuple(a.var_state for a in automata)
-    var_states = [tuple(a.var_state[j] for a in automata) for j in range(k)]
-    states = set(var_states)
-    changed = True
-    while changed:
-        changed = False
-        for name, m in alph.symbols:
-            for combo in itertools.product(sorted(states), repeat=m):
-                s = tuple(
-                    a.transitions[name][tuple(c[i] for c in combo)]
-                    for i, a in enumerate(automata)
-                )
-                if s not in states:
-                    states.add(s)
-                    changed = True
-    ordered = sorted(states)
-    idx = {s: i for i, s in enumerate(ordered)}
-    transitions = {}
-    for name, m in alph.symbols:
-        table = {}
-        for combo in itertools.product(range(len(ordered)), repeat=m):
-            s = tuple(
-                a.transitions[name][tuple(ordered[c][i] for c in combo)]
-                for i, a in enumerate(automata)
-            )
-            table[combo] = idx[s]
-        transitions[name] = table
-    aut = TreeAutomaton(
-        alph, k, len(ordered), tuple(idx[s] for s in var_states), transitions,
-        frozenset(),
-    )
-    return aut, ordered
-
-
 def _image_closure(T, tau: Morphism, ext, k, variables, x):
-    """Images of trees of rank <= k, annotated with counts and x's node rank.
+    """Images of rank-k trees, annotated with counts and x's node rank.
 
-    Walks the tree algebra bottom-up: every (element, counts, xrank) that a
-    real tree over the extended alphabet can produce is reached, exactly.
-    Returns a set of (rank, element, counts, xrank) with xrank None when x
+    Explores the tree algebra bottom-up: every (element, counts, xrank)
+    that a real tree of rank <= k over the extended alphabet produces is
+    reached, exactly; tuples past rank k go to an overflow sink.  Returns
+    the set of (element, counts, xrank) of rank k, with xrank None when x
     does not occur (or occurs twice, in which case counts saturate).
     """
     allv = tuple(sorted(set(variables) | {x}))
     vpos = {v: i for i, v in enumerate(allv)}
     zeros = (0,) * len(allv)
-    by_rank = [set() for _ in range(k + 1)]
-    if k >= 1:
-        by_rank[1].add((T.unit, zeros, None))
-    letters = []
+    overflow = None
+    letters = {}
     for name, m in ext.symbols:
-        base, zs = split_symbol(name)
+        _, zs = split_symbol(name)
         extra = [0] * len(allv)
         for z in zs:
             extra[vpos[z]] = 1
-        letters.append((name, m, tuple(extra), x in zs))
-    changed = True
-    while changed:
-        changed = False
-        for name, m, extra, has_x in letters:
-            img = tau.image[name]
-            pools = []
-            shapes = T.tuple_shapes(m, k)
-            for shape in shapes:
-                pool = [sorted(by_rank[r]) for r in shape]
-                if any(not p for p in pool):
-                    continue
-                for combo in itertools.product(*pool):
-                    counts = zeros
-                    xrank = m if has_x else None
-                    ok = True
-                    for el, c, xr in combo:
-                        counts = _counts_add(counts, c)
-                        if xr is not None:
-                            xrank = xr if xrank is None else xrank
-                    counts = _counts_add(counts, extra)
-                    el = T.compose(img, [c[0] for c in combo])
-                    entry = (el, counts, xrank)
-                    r = sum(s for s in shape)
-                    if entry not in by_rank[r]:
-                        by_rank[r].add(entry)
-                        changed = True
-    return by_rank
+        letters[name] = (tau.image[name], tuple(extra), m if x in zs else None)
+
+    def step(name, combo):
+        if overflow in combo or sum(el[0] for el, _, _ in combo) > k:
+            return overflow
+        img, extra, xrank = letters[name]
+        counts = zeros
+        for _, c, xr in combo:
+            counts = _counts_add(counts, c)
+            if xrank is None:
+                xrank = xr
+        counts = _counts_add(counts, extra)
+        return T.compose(img, [el for el, _, _ in combo]), counts, xrank
+
+    seeds = [(T.unit, zeros, None)] if k >= 1 else []
+    states, _ = explore(ext, seeds, step)
+    return {s for s in states if s is not overflow and s[0][0] == k}
 
 
 def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
@@ -472,7 +399,7 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
         else:
             comp_of[d] = len(distinct)
             distinct.append(recs[d].automaton)
-    joint, tuples = _product_many(distinct)
+    joint, tuples = product(distinct)
     finals_in = [
         frozenset(
             i
@@ -500,13 +427,13 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
     }
 
     # exact image sets and the determinism check
-    by_rank = _image_closure(T0, tau0, ext_W, k, Y, x)
+    images = _image_closure(T0, tau0, ext_W, k, Y, x)
     ones = (1,) * len(W)
     y_only = tuple(0 if v == x else 1 for v in sorted(W))
     valid_Wx = set()
     valid_Y = set()
     arity_delta = {n: sorted(delta.by_arity(n)) for n in delta.arities()}
-    for el, counts, xrank in by_rank[k]:
+    for el, counts, xrank in images:
         if counts == ones:
             valid_Wx.add(el)
             if xrank is not None:
@@ -578,32 +505,19 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
 def _carrier_automaton(carrier, gamma, accepting, k, ext) -> TreeAutomaton:
     """A DFTA over the extended alphabet simulating carrier evaluation.
 
-    States are the carrier elements of rank <= k plus a sink for rank
-    overflow (combinations no rank-k tree produces).
+    States are the carrier elements reached from the unit plus, sorting
+    after them, a sink for rank overflow (combinations no rank-k tree
+    produces).
     """
-    elements = [el for n in range(k + 1) for el in carrier.sort(n)]
-    idx = {el: i for i, el in enumerate(elements)}
-    sink = len(elements)
-    n_states = sink + 1
-    transitions = {}
-    for name, m in ext.symbols:
-        img = gamma.image[name]
-        table = {}
-        for combo in itertools.product(range(n_states), repeat=m):
-            if any(c == sink for c in combo):
-                table[combo] = sink
-                continue
-            els = [elements[c] for c in combo]
-            if sum(e[0] for e in els) > k:
-                table[combo] = sink
-                continue
-            table[combo] = idx[carrier.compose(img, els)]
-        transitions[name] = table
-    var_state = tuple(idx[carrier.unit] for _ in range(k))
-    finals = frozenset(idx[el] for el in accepting)
-    return minimize(
-        TreeAutomaton(ext, k, n_states, var_state, transitions, finals)
-    )
+    sink = (k + 1, 0)
+
+    def step(name, els):
+        if sink in els or sum(e[0] for e in els) > k:
+            return sink
+        return carrier.compose(gamma.image[name], els)
+
+    aut, _ = build(ext, k, [carrier.unit] * k, step, lambda el: el in accepting)
+    return minimize(aut)
 
 
 # ---------------------------------------------------------------------------

@@ -381,14 +381,22 @@ def substitute_var(chi, q: str, p: str):
         if chi.var == p:  # p is bound here; no free occurrences inside
             return chi
         if chi.var == q:  # rename the binder first to avoid capture
-            # the new name, the first base$n that is not free in chi and is
-            # neither q nor p, is then neither captured nor substituted
-            old, base = chi.var, chi.var.split("$")[0]
-            taken = free_vars(chi) | {p, q}
-            names = (f"{base}${n}" for n in itertools.count(1))
-            z = next(v for v in names if v not in taken)
-            chi = replace(_map_subformulas(chi, lambda f: substitute_var(f, z, old)), var=z)
+            # the new name is neither q nor p, so it is neither captured
+            # nor substituted
+            chi = _rename_binder(chi, {p, q})
     return _map_subformulas(chi, lambda f: substitute_var(f, q, p))
+
+
+def _rename_binder(chi: QK, taken):
+    """chi with its binder renamed to the first base$n not free in chi.
+
+    The new name also avoids ``taken``; base is the binder's written name.
+    """
+    old, base = chi.var, chi.var.split("$")[0]
+    taken = free_vars(chi) | set(taken)
+    names = (f"{base}${n}" for n in itertools.count(1))
+    z = next(v for v in names if v not in taken)
+    return replace(_map_subformulas(chi, lambda f: substitute_var(f, z, old)), var=z)
 
 
 def rank_test(z: str, n: int, sigma: RankedAlphabet):
@@ -410,7 +418,7 @@ def tilde_substitute(chi, x: str, formulas: dict, delta: RankedAlphabet,
     formula may well hold at a node whose rank differs from its letter's,
     but the relabeled node never carries a wrong-rank letter.  Requires
     that neither x nor any free variable of the family formulas is free in
-    chi.
+    chi; a binder of chi so named is renamed.
     """
     banned = {x}
     for f in formulas.values():
@@ -418,17 +426,19 @@ def tilde_substitute(chi, x: str, formulas: dict, delta: RankedAlphabet,
     clash = free_vars(chi) & banned
     if clash:
         raise ValueError(f"variable capture: {sorted(clash)} free in the host formula")
-    arity = delta.arity
-    return _tilde(chi, x, formulas, arity, sigma)
+    return _tilde(chi, x, formulas, delta.arity, sigma, banned)
 
 
-def _tilde(chi, x, formulas, arity, sigma):
+def _tilde(chi, x, formulas, arity, sigma, banned):
     if isinstance(chi, PSym):
         if chi.sym not in formulas:
             raise ValueError(f"letter {chi.sym} not covered by the family")
         body = substitute_var(formulas[chi.sym], chi.x, x)
         return And(rank_test(chi.x, arity[chi.sym], sigma), body)
-    return _map_subformulas(chi, lambda f: _tilde(f, x, formulas, arity, sigma))
+    if isinstance(chi, QK) and chi.var in banned:
+        # a host binder would capture the family's free variables
+        chi = _rename_binder(chi, banned)
+    return _map_subformulas(chi, lambda f: _tilde(f, x, formulas, arity, sigma, banned))
 
 
 def inverse_literal_image(phi, h: dict, source: RankedAlphabet, target: RankedAlphabet):

@@ -227,14 +227,6 @@ def subtree_at(t: RankedTree, path) -> RankedTree:
     return s
 
 
-def label_at(t: RankedTree, path):
-    return subtree_at(t, path).label
-
-
-def node_arity(t: RankedTree, path):
-    return len(subtree_at(t, path).children)
-
-
 def replace_at(t: RankedTree, path, repl: RankedTree) -> RankedTree:
     if not path:
         return repl
@@ -256,7 +248,7 @@ def factor_at(t: RankedTree, path):
     k = rank(t)
     # variables strictly left of the subtree = lowest variable inside - 1,
     # computed by counting variables before the path in frontier order.
-    k1 = _vars_left_of(t, path)
+    k1 = vars_left_of(t, path)
     r2 = rank(sub)
     k2 = k - k1 - r2
     s = shift_vars(sub, -k1)
@@ -276,9 +268,6 @@ def vars_left_of(t, path):
             count += rank(c)
         s = s.children[i]
     return count
-
-
-_vars_left_of = vars_left_of
 
 
 def _renumber_after(t, keep, delta):

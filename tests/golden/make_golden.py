@@ -21,9 +21,11 @@ GOLDEN = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(GOLDEN))
 CORPUS = os.path.join(ROOT, "tests", "corpus")
 
-# each goes through a block product; ex15 reuses one written binder in two
-# sibling scopes, ex27 nests deepest, ex31 has a free variable beside a bound one
-COMPILED = ("ex04", "ex05", "ex15", "ex19", "ex27", "ex31")
+# the whole corpus: every formula builds atom automata and Boolean products,
+# and ex04, ex05, ex15, ex19, ex27 and ex31 also go through a block product
+# (ex15 reuses one written binder in two sibling scopes, ex27 nests deepest,
+# ex31 has a free variable beside a bound one)
+COMPILED = tuple(f"ex{i:02d}" for i in range(1, 33))
 SYNTACTIC_ARGS = ("syntactic", os.path.join(CORPUS, "k_exists0.aut"), "--trunc", "2")
 TEXISTS_DUMP = os.path.join(GOLDEN, "t_exists2.pre")
 BLOCKPROD_ARGS = ("blockprod", TEXISTS_DUMP, TEXISTS_DUMP, "--k", "0", "--trunc", "2")

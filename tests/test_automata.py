@@ -1,7 +1,10 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+import preclones.automata as automata
 from preclones.errors import ParseError
 from preclones.automata import (
     TreeAutomaton,
@@ -10,6 +13,7 @@ from preclones.automata import (
     automaton_to_text,
     boolean_alphabet,
     complement,
+    explore,
     intersect,
     k_exists,
     k_forall_next,
@@ -18,8 +22,10 @@ from preclones.automata import (
     language_equal,
     left_quotient,
     minimize,
+    product,
     quotient_membership,
     random_automaton,
+    reachable_states,
     right_quotient,
     union,
 )
@@ -165,14 +171,15 @@ def test_complement_twice():
 
 
 def test_minimize_idempotent():
-    a = union(k_exists(DBOOL, 0), k_exists(DBOOL, 0))  # 4 states, 2 needed
+    a = union(k_exists(DBOOL, 0), k_mod(DBOOL, 0, 2, 1))  # 3 states, 2 needed
     m1 = minimize(a)
     m2 = minimize(m1)
     assert m1.n_states == m2.n_states
 
 
 def test_minimize_k_exists_two_states():
-    a = union(k_exists(DBOOL, 0), k_exists(DBOOL, 0))
+    a = union(k_exists(DBOOL, 0), k_mod(DBOOL, 0, 2, 1))
+    assert a.n_states == 3
     m = minimize(a)
     assert m.n_states == 2
     assert language_equal(m, a, 4)
@@ -273,3 +280,116 @@ def test_alphabet_or_rank_mismatch_rejected():
     c = max_automaton()
     with pytest.raises(ValueError):
         intersect(a, c)
+
+
+# -- the reachable-state builder against the constructions it replaced ---------
+
+
+def naive_reachable(a):
+    """Reference: re-apply every letter to all known tuples until stable."""
+    reach = set(a.var_state)
+    changed = True
+    while changed:
+        changed = False
+        for name, m in a.alphabet.symbols:
+            for combo in itertools.product(sorted(reach), repeat=m):
+                q = a.transitions[name][combo]
+                if q not in reach:
+                    reach.add(q)
+                    changed = True
+    return reach
+
+
+def full_product(a, b, final_rule):
+    """Reference: the whole n_a * n_b product, state (p, q) coded p * n_b + q."""
+    n = a.n_states * b.n_states
+    transitions = {}
+    for name, m in a.alphabet.symbols:
+        table = {}
+        for combo in itertools.product(range(n), repeat=m):
+            ps = tuple(c // b.n_states for c in combo)
+            qs = tuple(c % b.n_states for c in combo)
+            table[combo] = a.transitions[name][ps] * b.n_states + b.transitions[name][qs]
+        transitions[name] = table
+    finals = frozenset(
+        p * b.n_states + q
+        for p in range(a.n_states)
+        for q in range(b.n_states)
+        if final_rule(p in a.finals, q in b.finals)
+    )
+    var_state = tuple(p * b.n_states + q for p, q in zip(a.var_state, b.var_state))
+    return TreeAutomaton(a.alphabet, a.rank, n, var_state, transitions, finals)
+
+
+def either(x, y):
+    return x or y
+
+
+def both(x, y):
+    return x and y
+
+
+TERNARY = alphabet("g/3", "h/1", "a/0")
+
+
+def check_builder_against_references(seed):
+    rng = random.Random(seed)
+    for alph in (SIG, TERNARY):
+        for _ in range(10):
+            k = rng.randrange(3)
+            a, b, c = (random_automaton(alph, k, rng.randrange(1, 4), rng) for _ in range(3))
+            for x in (a, b, c):
+                assert reachable_states(x) == naive_reachable(x)
+            assert automaton_equal(
+                minimize(union(a, b)), minimize(full_product(a, b, either))
+            )
+            assert automaton_equal(
+                minimize(intersect(a, b)), minimize(full_product(a, b, both))
+            )
+            abc, triples = product([a, b, c])
+            for rule in (either, both):
+                finals = frozenset(
+                    i
+                    for i, (p, q, r) in enumerate(triples)
+                    if rule(rule(p in a.finals, q in b.finals), r in c.finals)
+                )
+                want = full_product(full_product(a, b, rule), c, rule)
+                assert automaton_equal(minimize(replace(abc, finals=finals)), minimize(want))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_builder_matches_naive_fixpoint_and_full_product(seed):
+    check_builder_against_references(seed)
+
+
+def test_explore_evaluates_each_tuple_once():
+    a = random_automaton(TERNARY, 2, 4, random.Random(7))
+    calls = []
+
+    def step(name, qs):
+        calls.append((name, qs))
+        return a.transitions[name][qs]
+
+    states, tables = explore(TERNARY, a.var_state, step)
+    assert states == naive_reachable(a)
+    assert len(calls) == len(set(calls))
+    for name, m in TERNARY.symbols:
+        assert set(tables[name]) == set(itertools.product(states, repeat=m))
+
+
+def one_round_explore(alphabet, seeds, step):
+    """A corrupted explore that stops after its first round."""
+    states = set(seeds)
+    tables = {name: {} for name, _ in alphabet.symbols}
+    known = sorted(states)
+    for name, m in alphabet.symbols:
+        for combo in itertools.product(known, repeat=m):
+            tables[name][combo] = step(name, combo)
+    states |= {q for table in tables.values() for q in table.values()}
+    return states, tables
+
+
+def test_one_round_explore_is_caught(monkeypatch):
+    monkeypatch.setattr(automata, "explore", one_round_explore)
+    with pytest.raises(AssertionError):
+        check_builder_against_references(0)

@@ -267,6 +267,14 @@ def test_compiler_cache_shares_family_copies():
     assert len(comp._cache) <= 7
 
 
+def test_compiler_cache_shares_equal_sugared_quantifiers():
+    # the two sides parse to one formula and compile to one cache entry
+    phi = parse_formula("(exists x. P[1_0](x)) | (exists x. P[1_0](x))", DBOOL, 0)
+    comp = Compiler(DBOOL, 0)
+    comp.compile(phi, ())
+    assert sum(isinstance(f, QK) for f, _ in comp._cache) == 1
+
+
 def test_rank_mismatch_rejected():
     phi = parse_formula("exists x. P[1_0](x)", DBOOL, 0)
     rec = compile_formula(phi, DBOOL, (), 0)
@@ -278,8 +286,7 @@ def test_rank_mismatch_rejected():
 def test_joint_context_partition_is_a_congruence(k):
     # the compiler quotients its simultaneous recognizer without the full
     # verification pass; replay the pipeline here with verification on
-    from preclones.automata import minimize
-    from preclones.compiler import _product_many
+    from preclones.automata import minimize, product
     from preclones.preclone import (
         apply_transformation,
         quotient,
@@ -292,7 +299,7 @@ def test_joint_context_partition_is_a_congruence(k):
     recs = {d: comp.compile(sub, (phi.var,)) for d, sub in phi.family}
     order = sorted(recs)
     distinct = [recs[order[0]].automaton]
-    joint, tuples = _product_many(distinct)
+    joint, tuples = product(distinct)
     finals_in = [
         frozenset(i for i, s in enumerate(tuples) if s[0] in recs[d].automaton.finals)
         for d in order

@@ -151,8 +151,7 @@ def test_parse_names_binders_by_depth():
 
 
 def test_parse_twice_gives_equal_asts():
-    # Q[K] takes its automaton from langs; exists and mod build a new one per
-    # quantifier, and QK.lang compares by identity
+    # Q[K] takes its automaton from langs, and QK.lang compares by identity
     langs = {"K": k_exists(DBOOL, 0)}
     text = (
         "Q[K] x { 1_0: P[a](x); 0_0: !P[a](x); 0_2: !P[a](x); "
@@ -160,6 +159,15 @@ def test_parse_twice_gives_equal_asts():
     )
     first = parse_formula(text, SIG, 0, langs)
     second = parse_formula(text, SIG, 0, langs)
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+def test_parse_twice_gives_equal_sugared_asts():
+    # exists and mod share one automaton per (alphabet, rank, parameters)
+    text = "exists x. P[1_0](x) | mod[2,1] y. P[1_2](y)"
+    first = parse_formula(text, DBOOL, 0)
+    second = parse_formula(text, DBOOL, 0)
     assert first == second
     assert hash(first) == hash(second)
 
@@ -450,6 +458,19 @@ def test_fact_closure_equivalence_exhaustive():
             for v in nv_nodes(t):
                 lam = {"z": v}
                 assert satisfies(t, lam, tchi) == satisfies(bar, lam, chi)
+
+
+def test_tilde_substitute_renames_capturing_binder():
+    # the family's free y must not be captured by the host's binder y
+    fam = dict(boolean_family(Less("y", "x"), SIG))
+    chi = exists_formula("y", PSym("1_0", "y"), SIG, 0)
+    tchi = tilde_substitute(chi, "x", fam, DBOOL, SIG)
+    assert free_vars(tchi) == {"y"}
+    for t in enumerate_trees(SIG, 0, 3):
+        for v in nv_nodes(t):
+            lam = {"y": v}
+            bar = characteristic_tree(t, lam, "x", DBOOL, fam)
+            assert satisfies(t, lam, tchi) == satisfies(bar, lam, chi)
 
 
 def test_fact_closure_sentence_case():
