@@ -9,6 +9,8 @@ trees only.
 bottom-up (the Boolean products, ``product``, the compiler's atom,
 image and carrier automata) is the least state set closed under a step
 function, found by semi-naive evaluation, and ``build`` numbers it.
+``preclone.close_for_evaluation`` closes every generated preclone the
+same way, with the generators as letters and elements as states.
 """
 
 from __future__ import annotations

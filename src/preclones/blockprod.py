@@ -22,6 +22,7 @@ morphism.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RankOverflow
@@ -30,6 +31,7 @@ from .preclone import (
     FinitaryPreclone,
     Morphism,
     PgPair,
+    close_for_evaluation,
     close_under_composition,
 )
 from .syntactic import Context, enumerate_contexts, stack_contexts
@@ -169,7 +171,7 @@ class BlockProduct:
         """Generated sub-preclone of the block product, as element tables.
 
         ``eval_cap`` restricts the closure to compositions with result rank
-        below the cap (enough for evaluating trees of that rank).
+        at most the cap (enough for evaluating trees of that rank).
         """
 
         def compose_raw(fkey, frank, gkeys):
@@ -188,8 +190,6 @@ class BlockProduct:
         if eval_cap is None:
             close_under_composition(pre, budget)
         else:
-            from .preclone import close_for_evaluation
-
             close_for_evaluation(pre, eval_cap, budget)
         return PgPair(pre, gens)
 
@@ -213,8 +213,6 @@ def block_product_pg(pgS: PgPair, pgT: PgPair, k: int, generators="all",
     passes the explicit images of its extended alphabet).
     Returns (BlockProduct, PgPair of the carrier).
     """
-    import itertools
-
     bp = BlockProduct(pgS.preclone, pgT.preclone, k, trunc)
     if generators == "all":
         gen_keys = []
@@ -283,8 +281,6 @@ class RestrictedBlockProduct:
         )
 
     def iter_carrier(self, n):
-        import itertools
-
         sorts = self.bp.S.sort(n)
         for f in self.t_elements[n]:
             for F in itertools.product(sorts, repeat=self.bp.n_contexts(n)):

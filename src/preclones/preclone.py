@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .automata import explore
 from .errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow
 from .trees import RankedAlphabet, RankedTree, compositions
 
@@ -85,17 +86,21 @@ class FinitaryPreclone:
     # -- composition ----------------------------------------------------------
 
     def compose(self, f: El, gs) -> El:
-        """f . (g_1 + ... + g_n); n must equal rank(f), result within trunc."""
+        """f . (g_1 + ... + g_n); n must equal rank(f), result within trunc.
+
+        A pair enters the memo only after passing the width and rank
+        checks, so a hit needs neither.
+        """
         gs = tuple(gs)
+        memo_key = (f, gs)
+        got = self._memo.get(memo_key)
+        if got is not None:
+            return got
         if f[0] != len(gs):
             raise ValueError(f"width mismatch: rank {f[0]} vs {len(gs)} arguments")
         m = sum(g[0] for g in gs)
         if m > self.trunc:
             raise RankOverflow(f"composition result rank {m} above truncation {self.trunc}")
-        memo_key = (f, gs)
-        got = self._memo.get(memo_key)
-        if got is not None:
-            return got
         key = self._compose_raw(
             self.key(f), f[0], [(self.key(g), g[0]) for g in gs]
         )
@@ -135,70 +140,43 @@ class FinitaryPreclone:
 
 
 def close_under_composition(pre: FinitaryPreclone, budget=DEFAULT_BUDGET):
-    """Close the interned sorts under composition, single slot at a time.
-
-    By the preclone axioms any simultaneous composition factors into
-    single-slot steps whose intermediate ranks stay within the truncation
-    when rank-0 arguments are substituted first, so this reaches the full
-    generated sub-preclone.
-    """
-    work = list(pre.elements())
-    seen = set(work)
-    pos = 0
-    while pos < len(work):
-        e = work[pos]
-        pos += 1
-        snapshot = list(pre.elements())
-        for other in snapshot:
-            for head, arg in ((e, other), (other, e)):
-                n = head[0]
-                if n == 0:
-                    continue
-                m = n - 1 + arg[0]
-                if m > pre.trunc:
-                    continue
-                for slot in range(n):
-                    args = (pre.unit,) * slot + (arg,) + (pre.unit,) * (n - 1 - slot)
-                    got = _compose_maybe_new(pre, head, args)
-                    if got not in seen:
-                        seen.add(got)
-                        work.append(got)
-                        if pre.size() > budget:
-                            raise BudgetExceeded(
-                                f"closure exceeded {budget} elements"
-                            )
-    return pre
-
-
-def _compose_maybe_new(pre: FinitaryPreclone, f, gs):
-    m = sum(g[0] for g in gs)
-    key = pre._compose_raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
-    return pre.intern(m, key)
+    """Close the interned sorts under every composition within the truncation."""
+    return close_for_evaluation(pre, pre.trunc, budget)
 
 
 def close_for_evaluation(pre: FinitaryPreclone, cap, budget=DEFAULT_BUDGET):
     """Close the sorts under compositions whose result rank is <= cap.
 
-    Bottom-up evaluation of rank-k trees only ever composes an element
-    (a generator, at worst of the maximal arity) with arguments whose
-    ranks sum to at most k; closing under exactly those keeps carriers
-    small where the full closure would materialize every high-rank
-    composite.  Heads range over all interned elements, arguments over
-    the rank-<=cap sorts.
+    The generated sub-preclone is the image of the free preclone: its
+    elements are the values of trees over the elements interned before
+    the call (the unit and the generators), a variable leaf taking the
+    unit.  A tree's rank is the sum of its subtrees' ranks, so every
+    subtree of a tree of rank <= cap has rank <= cap too, and only a
+    head, a generator, may lie above the cap.  The elements of rank <=
+    cap are therefore the states ``automata.explore`` reaches from the
+    unit over those elements as letters, with a step that composes a
+    letter with arguments whose ranks sum to at most cap and sends every
+    other tuple to an overflow sink.  cap = trunc is the full closure;
+    smaller caps keep carriers small where only trees of that rank are
+    ever evaluated.
     """
-    while True:
-        size_before = pre.size()
-        for f in list(pre.elements()):
-            for ranks in pre.tuple_shapes(f[0], cap):
-                pools = [pre.sort(r) for r in ranks]
-                if any(not p for p in pools):
-                    continue
-                for gs in itertools.product(*pools):
-                    _compose_maybe_new(pre, f, gs)
+    letters = RankedAlphabet(tuple((el, el[0]) for el in pre.elements()))
+    overflow = None
+
+    def step(f, gs):
+        if overflow in gs:
+            return overflow
+        m = sum(g[0] for g in gs)
+        if m > cap:
+            return overflow
+        key = pre._compose_raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
+        el = pre.intern(m, key)
         if pre.size() > budget:
-            raise BudgetExceeded(f"evaluation closure exceeded {budget} elements")
-        if pre.size() == size_before:
-            return pre
+            raise BudgetExceeded(f"closure exceeded {budget} elements")
+        return el
+
+    explore(letters, [pre.unit] if cap >= 1 else [], step)
+    return pre
 
 
 @dataclass
@@ -628,7 +606,7 @@ def dump_preclone(S: FinitaryPreclone, generators=None, result_cap=None) -> str:
     """Text dump: sorts, unit, descriptions, generators, all compositions.
 
     ``result_cap`` limits the listed compositions to those with result rank
-    below the cap (for carriers closed only for evaluation).
+    at most the cap (for carriers closed only for evaluation).
     """
     lines = [f"trunc {S.trunc}"]
     for n in range(S.trunc + 1):

@@ -29,16 +29,27 @@ COMPILED = tuple(f"ex{i:02d}" for i in range(1, 33))
 SYNTACTIC_ARGS = ("syntactic", os.path.join(CORPUS, "k_exists0.aut"), "--trunc", "2")
 TEXISTS_DUMP = os.path.join(GOLDEN, "t_exists2.pre")
 BLOCKPROD_ARGS = ("blockprod", TEXISTS_DUMP, TEXISTS_DUMP, "--k", "0", "--trunc", "2")
+# axioms reports name their input, so their paths are relative to ROOT
+AXIOMS = (
+    ("axioms_texists_trunc3.txt", ("--builtin", "texists", "--trunc", "3")),
+    ("axioms_k_exists0_trunc3.txt",
+     ("--automaton", "tests/corpus/k_exists0.aut", "--trunc", "3")),
+    ("axioms_k_path0_trunc2.txt",
+     ("--automaton", "tests/corpus/k_path0.aut", "--trunc", "2")),
+    ("axioms_t_exists2_sampled200_seed3.txt",
+     ("--dump", "tests/golden/t_exists2.pre", "--mode", "sampled",
+      "--samples", "200", "--seed", "3")),
+)
 
 
 def cli(args, hash_seed="0"):
-    """stdout of ``python -m preclones.cli ARGS`` in a fresh process."""
+    """stdout of ``python -m preclones.cli ARGS`` in a fresh process at ROOT."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "preclones.cli", *args],
-        env=env, capture_output=True, text=True, check=True,
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
     )
     return proc.stdout
 
@@ -63,6 +74,10 @@ def main():
 
     with open(os.path.join(GOLDEN, "syntactic_k_exists0_trunc2.txt"), "w") as fh:
         fh.write(cli(SYNTACTIC_ARGS))
+
+    for fname, args in AXIOMS:
+        with open(os.path.join(GOLDEN, fname), "w") as fh:
+            fh.write(cli(["axioms", *args]))
 
     digest, carrier = blockprod_digest(cli(BLOCKPROD_ARGS))
     with open(os.path.join(GOLDEN, "blockprod_t_exists2_k0_trunc2.txt"), "w") as fh:

@@ -52,3 +52,10 @@ def test_blockprod_output_matches_golden(hash_seed):
     )
     want = read(os.path.join(GOLDEN, "blockprod_t_exists2_k0_trunc2.txt"))
     assert f"sha256 {digest}\n{carrier}\n" == want
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+@pytest.mark.parametrize("fname,args", make_golden.AXIOMS)
+def test_axioms_report_matches_golden(fname, args, hash_seed):
+    got = make_golden.cli(["axioms", *args], hash_seed)
+    assert got == read(os.path.join(GOLDEN, fname))

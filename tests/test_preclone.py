@@ -1,10 +1,23 @@
+import inspect
+import itertools
 import random
+import textwrap
 
 import pytest
 
-from preclones.automata import boolean_alphabet, k_exists, k_mod, random_automaton
-from preclones.errors import NotACongruence, RankOverflow
+from preclones import blockprod, preclone
+from preclones.automata import (
+    boolean_alphabet,
+    k_exists,
+    k_forall_next,
+    k_mod,
+    k_path,
+    random_automaton,
+)
+from preclones.blockprod import block_product_pg
+from preclones.errors import BudgetExceeded, NotACongruence, RankOverflow
 from preclones.preclone import (
+    DEFAULT_BUDGET,
     accepting_elements,
     apply_transformation,
     check_axioms,
@@ -90,6 +103,23 @@ def test_t_mod_binary_sum():
     for r in range(p):
         for r2 in range(p):
             assert S.compose((2, 0), ((0, r), (0, r2))) == (0, (r + r2) % p)
+
+
+def test_compose_checks_survive_a_warm_memo():
+    S = t_exists(3).preclone
+    assert check_axioms(S).ok
+    warm = list(S._memo)
+    assert warm
+    for f, gs in warm:
+        if gs:
+            with pytest.raises(ValueError, match="width mismatch"):
+                S.compose(f, gs[:-1])
+        with pytest.raises(ValueError, match="width mismatch"):
+            S.compose(f, gs + (S.unit,))
+    with pytest.raises(RankOverflow):
+        S.compose(OR(2), (TRUE(2), TRUE(2)))
+    with pytest.raises(RankOverflow):
+        S.compose(OR(2), (S.unit, TRUE(3)))
 
 
 def test_rank_overflow():
@@ -337,3 +367,170 @@ def test_dump_roundtrip():
 def test_transformation_pgpair_trunc_guard():
     with pytest.raises(RankOverflow):
         transformation_pgpair(k_exists(DBOOL, 0), 1)
+
+
+# ---------------------------------------------------------------------------
+# the closure against the two routines it replaced
+
+
+def reference_compose(pre, f, gs):
+    m = sum(g[0] for g in gs)
+    key = pre._compose_raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
+    return pre.intern(m, key)
+
+
+def reference_close_under_composition(pre, budget=DEFAULT_BUDGET):
+    """The former full closure: a worklist of single-slot compositions."""
+    work = list(pre.elements())
+    seen = set(work)
+    pos = 0
+    while pos < len(work):
+        e = work[pos]
+        pos += 1
+        snapshot = list(pre.elements())
+        for other in snapshot:
+            for head, arg in ((e, other), (other, e)):
+                n = head[0]
+                if n == 0:
+                    continue
+                m = n - 1 + arg[0]
+                if m > pre.trunc:
+                    continue
+                for slot in range(n):
+                    args = (pre.unit,) * slot + (arg,) + (pre.unit,) * (n - 1 - slot)
+                    got = reference_compose(pre, head, args)
+                    if got not in seen:
+                        seen.add(got)
+                        work.append(got)
+                        if pre.size() > budget:
+                            raise BudgetExceeded(
+                                f"closure exceeded {budget} elements"
+                            )
+    return pre
+
+
+def reference_close_for_evaluation(pre, cap, budget=DEFAULT_BUDGET):
+    """The former evaluation closure: recompose every tuple each round."""
+    while True:
+        size_before = pre.size()
+        for f in list(pre.elements()):
+            for ranks in pre.tuple_shapes(f[0], cap):
+                pools = [pre.sort(r) for r in ranks]
+                if any(not p for p in pools):
+                    continue
+                for gs in itertools.product(*pools):
+                    reference_compose(pre, f, gs)
+        if pre.size() > budget:
+            raise BudgetExceeded(f"evaluation closure exceeded {budget} elements")
+        if pre.size() == size_before:
+            return pre
+
+
+def keys_by_rank(pre):
+    return [{pre.key(el) for el in pre.sort(n)} for n in range(pre.trunc + 1)]
+
+
+def assert_closure_matches_references(build):
+    """build() closes a carrier; the references must reach the same keys."""
+    got = keys_by_rank(build())
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (preclone, blockprod):
+            mp.setattr(mod, "close_under_composition", reference_close_under_composition)
+            mp.setattr(mod, "close_for_evaluation", reference_close_for_evaluation)
+        want = keys_by_rank(build())
+    assert got == want
+
+
+NAMED_AUTOMATA = (
+    k_exists(DBOOL, 0),
+    k_mod(DBOOL, 0, 2, 1),
+    k_path(DBOOL, 0),
+    k_forall_next(DBOOL, 0),
+)
+RANDOM_AUTOMATA = tuple(
+    random_automaton(DBOOL, 0, 2, random.Random(seed)) for seed in range(6)
+)
+CAPS = (0, 1, None)
+
+
+def check_closures_against_references():
+    for cap in CAPS:
+        for a in NAMED_AUTOMATA + RANDOM_AUTOMATA:
+            assert_closure_matches_references(
+                lambda: transformation_pgpair(a, 2, eval_cap=cap).pgpair.preclone
+            )
+
+    # a direct product's sub-pg-pair, as the compiler's _combine builds it
+    for a1, a2 in ((k_exists(DBOOL, 1), k_mod(DBOOL, 1, 2, 1)),
+                   (k_path(DBOOL, 1), k_forall_next(DBOOL, 1))):
+        for k in (0, 1):
+            r1 = transformation_pgpair(a1, 2, eval_cap=k)
+            r2 = transformation_pgpair(a2, 2, eval_cap=k)
+            prod = direct_product([r1.pgpair.preclone, r2.pgpair.preclone])
+            tupled = target_tupling([r1.morphism, r2.morphism], prod)
+            images = [tupled.image[name] for name, _ in DBOOL.symbols]
+            assert_closure_matches_references(
+                lambda: sub_pgpair_generated(prod, images, eval_cap=k).preclone
+            )
+
+    pg = t_exists(2)
+    assert_closure_matches_references(
+        lambda: block_product_pg(pg, pg, 0, trunc=2)[1].preclone
+    )
+
+
+def test_closures_match_references():
+    check_closures_against_references()
+
+
+def one_round_explore(alphabet, seeds, step):
+    """A corrupted explore that stops after its first round."""
+    seeds = list(seeds)
+    for name, m in alphabet.symbols:
+        for combo in itertools.product(seeds, repeat=m):
+            step(name, combo)
+    return set(seeds), {}
+
+
+def test_one_round_closure_is_caught(monkeypatch):
+    monkeypatch.setattr(preclone, "explore", one_round_explore)
+    with pytest.raises(AssertionError):
+        check_closures_against_references()
+
+
+@pytest.mark.parametrize("mutated", ["if m >= cap:", "if m > cap + 1:"])
+def test_off_by_one_cap_is_caught(monkeypatch, mutated):
+    source = textwrap.dedent(inspect.getsource(preclone.close_for_evaluation))
+    assert source.count("if m > cap:") == 1
+    namespace = dict(vars(preclone))
+    exec(source.replace("if m > cap:", mutated), namespace)
+    monkeypatch.setattr(preclone, "close_for_evaluation", namespace["close_for_evaluation"])
+    monkeypatch.setattr(blockprod, "close_for_evaluation", namespace["close_for_evaluation"])
+    with pytest.raises(AssertionError):
+        check_closures_against_references()
+
+
+def test_budget_reaches_every_closure_caller():
+    size = transformation_pgpair(k_exists(DBOOL, 0), 3).pgpair.preclone.size()
+    transformation_pgpair(k_exists(DBOOL, 0), 3, budget=size)
+    with pytest.raises(BudgetExceeded):
+        transformation_pgpair(k_exists(DBOOL, 0), 3, budget=size - 1)
+
+    pg = t_mod(3, 3)
+    size = sub_pgpair_generated(pg.preclone, pg.generators).preclone.size()
+    sub_pgpair_generated(pg.preclone, pg.generators, budget=size)
+    with pytest.raises(BudgetExceeded):
+        sub_pgpair_generated(pg.preclone, pg.generators, budget=size - 1)
+
+    pg = t_exists(2)
+    bp, carrier = block_product_pg(pg, pg, 0, trunc=2)
+    gen_keys = [carrier.preclone.key(g) for g in carrier.generators]
+    size = carrier.preclone.size()
+    # below size - 1 generators, so block_product_pg's generator count
+    # check passes and the raise comes from the closure
+    assert len(gen_keys) < size - 1
+    bp.carrier_pgpair(gen_keys, budget=size)
+    with pytest.raises(BudgetExceeded):
+        bp.carrier_pgpair(gen_keys, budget=size - 1)
+    with pytest.raises(BudgetExceeded):
+        block_product_pg(pg, pg, 0, trunc=2, budget=size - 1)
