@@ -547,11 +547,130 @@ def _assoc_instance(S, f, gs, hs):
     return lhs, rhs
 
 
+def _assoc_count(S):
+    """The number of triples (f, gs, hs) within the truncation.
+
+    W[w][t] counts argument tuples of width w and total rank exactly t,
+    N[m] those of width m and any total rank; a triple is an f of rank n,
+    a gs in W[n][m] and an hs in N[m].
+    """
+    R = S.trunc
+    sizes = [S.sort_size(r) for r in range(R + 1)]
+    W = [[1] + [0] * R]
+    for _ in range(R):
+        prev = W[-1]
+        W.append([sum(sizes[r] * prev[t - r] for r in range(t + 1)) for t in range(R + 1)])
+    N = [sum(row) for row in W]
+    return sum(sizes[n] * sum(W[n][m] * N[m] for m in range(R + 1)) for n in range(R + 1))
+
+
+def _assoc_witnesses(S):
+    """Failing triples found by the checks D, SEQ and PAR of check_axioms."""
+    R, unit = S.trunc, S.unit
+    nonunit = [[el for el in S.sort(r) if el != unit] for r in range(R + 1)]
+    circ = {}
+    witnesses = {}  # failing triple -> None, in discovery order
+
+    def below(cap):
+        return [el for r in range(min(cap, R) + 1) for el in nonunit[r]]
+
+    def o(f, i, g):
+        """f o_i g: g in slot i (from 0) of f, units elsewhere."""
+        got = circ.get((f, i, g))
+        if got is None:
+            got = circ[(f, i, g)] = S.plug(f, i, g, f[0] - 1 - i)
+        return got
+
+    def pad(width, i, x):
+        return (unit,) * i + (x,) + (unit,) * (width - 1 - i)
+
+    def fail(triples):
+        # the first triple whose sides differ; with the unit laws broken
+        # none may differ, and the last one stands in
+        for t in triples:
+            lhs, rhs = _assoc_instance(S, *t)
+            if lhs != rhs:
+                break
+        witnesses.setdefault(t, None)
+
+    # D: a composition with two or more non-unit arguments is its iterated
+    # o_i, plugging rank-0 arguments first, then rank 1, then higher ranks
+    for f, gs in S.iter_compositions():
+        order = sorted((g[0], a) for a, g in enumerate(gs) if g != unit)
+        if len(order) < 2:
+            continue
+        args = [unit] * f[0]
+        cur = f
+        steps = []
+        for _, a in order:
+            pos = sum(x[0] for x in args[:a])
+            steps.append((f, tuple(args), pad(cur[0], pos, gs[a])))
+            cur = o(cur, pos, gs[a])
+            args[a] = gs[a]
+        if cur != S.compose(f, gs):
+            fail(steps)
+
+    # every f o_i g within the truncation, with SEQ and PAR over each h
+    for f in below(R):
+        for g in below(R + 1 - f[0]):
+            for i in range(f[0]):
+                fg = o(f, i, g)
+                for h in below(R + 2 - f[0] - g[0]):
+                    for j in range(g[0]):
+                        if o(fg, i + j, h) != o(f, i, o(g, j, h)):  # SEQ
+                            fail([(f, pad(f[0], i, g), pad(fg[0], i + j, h))])
+                    if f[0] - 1 + h[0] > R:
+                        continue
+                    for j in range(i + 1, f[0]):
+                        fh = o(f, j, h)
+                        if o(fg, j - 1 + g[0], h) != o(fh, i, g):  # PAR
+                            fail([(f, pad(f[0], i, g), pad(fg[0], j - 1 + g[0], h)),
+                                  (f, pad(f[0], j, h), pad(fh[0], i, g))])
+    return list(witnesses)
+
+
 def check_axioms(S: FinitaryPreclone, mode="exhaustive", samples=1000, seed=0):
     """Check unit laws and associativity; list every violation found.
 
-    Exhaustive mode walks all composable triples within the truncation;
-    sampled mode draws ``samples`` random triples with the given seed.
+    Sampled mode draws ``samples`` random triples (f, gs, hs) with the
+    given seed and checks (f.gs).hs = f.(g_1.hs_1, ..., g_n.hs_n) on each.
+
+    Exhaustive mode decides every triple within the truncation without
+    walking them.  Write f o_i g for f.(1, ..., g, ..., 1), g in slot i.
+    Over non-unit f, g and h, and wherever every term has rank <= trunc:
+
+    - (D) a composition with two or more non-unit arguments equals its
+      iterated o_i, plugging the rank-0 arguments first, then rank 1,
+      then higher ranks;
+    - (SEQ) (f o_i g) o_{i+j} h = f o_i (g o_j h);
+    - (PAR) (f o_i g) o_{j-1+|g|} h = (f o_j h) o_i g for i < j.
+
+    Theorem: given the unit laws, D, SEQ and PAR hold iff every triple
+    within the truncation is associative.  Each instance is a triple with
+    unit padding: SEQ is (f, 1..g..1, 1..h..1), PAR equates two such
+    triples through f.(1..g..h..1), and each plugging step of D is
+    (f, partial arguments, 1..g..1).  Conversely, by the unit laws and D
+    both sides of a triple are values of the tree f(g_1(hs_1), ...,
+    g_n(hs_n)) reached by contracting its edges one o_i at a time; SEQ
+    moves the contraction of an edge past the one above it and PAR swaps
+    two edges below one node, so every order gives one value, as for
+    non-symmetric operads (May 1972; Markl-Shnider-Stasheff 2002), whose
+    truncations preclones are.
+
+    Truncation: the moves must keep each term within rank trunc.  A
+    root-connected partial grafting U of a tree T has rank
+    rank(T) + sum (1 - rank(T_v)) over the subtrees T_v hanging off U.
+    Plugging rank-0 arguments first keeps each D step within
+    max(rank f, result rank); so reduce the rank-0 subtrees first.  Once
+    they are reduced, and each node's rank-0 leaves are plugged with it,
+    every hanging subtree has rank >= 1, so every root-connected partial
+    grafting has rank <= rank(T) <= trunc.
+
+    Every composition within the truncation is evaluated: by the unit
+    laws (a unit head, or all-unit arguments), as an o_i, or by D.  So a
+    dump missing a composition still raises.  ``assoc_checked`` counts
+    the triples decided, and each violation is a failing triple: SEQ's
+    own, the failing one of PAR's two, or D's first failing step.
     """
     report = AxiomReport()
     for el in S.elements():
@@ -562,24 +681,22 @@ def check_axioms(S: FinitaryPreclone, mode="exhaustive", samples=1000, seed=0):
         report.unit_checked += 1
 
     if mode == "exhaustive":
-        for f, gs in S.iter_compositions():
-            m = sum(g[0] for g in gs)
-            for hs in S.iter_tuples(m):
-                lhs, rhs = _assoc_instance(S, f, gs, hs)
-                if lhs != rhs:
-                    report.violations.append(("assoc", f, gs, hs))
-                report.assoc_checked += 1
+        report.assoc_checked = _assoc_count(S)
+        for f, gs, hs in _assoc_witnesses(S):
+            report.violations.append(("assoc", f, gs, hs))
     elif mode == "sampled":
         import random
 
         rng = random.Random(seed)
         comps = list(S.iter_compositions())
+        tuples = {}
         if comps:
             for _ in range(samples):
                 f, gs = comps[rng.randrange(len(comps))]
                 m = sum(g[0] for g in gs)
-                tuples = list(S.iter_tuples(m))
-                hs = tuples[rng.randrange(len(tuples))]
+                if m not in tuples:
+                    tuples[m] = list(S.iter_tuples(m))
+                hs = tuples[m][rng.randrange(len(tuples[m]))]
                 lhs, rhs = _assoc_instance(S, f, gs, hs)
                 if lhs != rhs:
                     report.violations.append(("assoc", f, gs, hs))

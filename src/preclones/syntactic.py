@@ -171,7 +171,8 @@ def syntactic_pgpair(automaton, trunc, budget=None, verify=True) -> SyntacticRes
 def find_isomorphism(S: FinitaryPreclone, T: FinitaryPreclone):
     """A rank-preserving bijection respecting unit and composition, or None.
 
-    Backtracking over per-rank bijections; feasible for small sorts.
+    Tries every combination of per-rank bijections (the unit fixed) until
+    one respects every composition; feasible for small sorts only.
     """
     if S.trunc != T.trunc:
         return None
@@ -192,14 +193,10 @@ def find_isomorphism(S: FinitaryPreclone, T: FinitaryPreclone):
     comps = list(S.iter_compositions())
 
     def respects(mapping):
-        for f, gs in comps:
-            if S.compose(f, gs) not in mapping:
-                continue
-            lhs = mapping[S.compose(f, gs)]
-            rhs = T.compose(mapping[f], [mapping[g] for g in gs])
-            if lhs != rhs:
-                return False
-        return True
+        return all(
+            mapping[S.compose(f, gs)] == T.compose(mapping[f], [mapping[g] for g in gs])
+            for f, gs in comps
+        )
 
     for combo in itertools.product(*per_rank):
         mapping = {}

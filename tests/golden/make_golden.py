@@ -39,6 +39,7 @@ AXIOMS = (
     ("axioms_t_exists2_sampled200_seed3.txt",
      ("--dump", "tests/golden/t_exists2.pre", "--mode", "sampled",
       "--samples", "200", "--seed", "3")),
+    ("axioms_tmod3_trunc3.txt", ("--builtin", "tmod", "--p", "3", "--trunc", "3")),
 )
 
 

@@ -58,9 +58,10 @@ CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
 
-# seeds chosen so the generated transformation preclones stay small enough
-# for the exhaustive axiom walk (closure size explodes for most 3-state
-# tables; these five are 2-3 states as required)
+# seeds chosen so the generated transformation preclones stay small: the
+# closure's size explodes for most 3-state tables, and the exhaustive axiom
+# check grows with the carrier's compositions (these five are 2-3 states
+# as required)
 RANDOM_AUTOMATA = [(2, 16), (2, 3), (3, 41), (3, 185), (3, 249)]
 
 

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import os
 import random
 import textwrap
 
@@ -12,10 +13,11 @@ from preclones.automata import (
     k_forall_next,
     k_mod,
     k_path,
+    load_automaton,
     random_automaton,
 )
 from preclones.blockprod import block_product_pg
-from preclones.errors import BudgetExceeded, NotACongruence, RankOverflow
+from preclones.errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow
 from preclones.preclone import (
     DEFAULT_BUDGET,
     accepting_elements,
@@ -35,6 +37,7 @@ from preclones.preclone import (
 )
 from preclones.trees import UNIT, alphabet, enumerate_trees, parse_tree
 
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
 
@@ -534,3 +537,173 @@ def test_budget_reaches_every_closure_caller():
         bp.carrier_pgpair(gen_keys, budget=size - 1)
     with pytest.raises(BudgetExceeded):
         block_product_pg(pg, pg, 0, trunc=2, budget=size - 1)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive axiom check against the triple walk it replaced
+
+
+def reference_check_axioms(S):
+    """The former exhaustive mode: walk every triple (f, gs, hs)."""
+    report = preclone.AxiomReport()
+    for el in S.elements():
+        if S.compose(S.unit, (el,)) != el:
+            report.violations.append(("unit-left", el))
+        if S.compose(el, (S.unit,) * el[0]) != el:
+            report.violations.append(("unit-right", el))
+        report.unit_checked += 1
+    for f, gs in S.iter_compositions():
+        m = sum(g[0] for g in gs)
+        for hs in S.iter_tuples(m):
+            lhs, rhs = preclone._assoc_instance(S, f, gs, hs)
+            if lhs != rhs:
+                report.violations.append(("assoc", f, gs, hs))
+            report.assoc_checked += 1
+    return report
+
+
+def assert_agrees_with_reference(S_fresh):
+    """Both checks on two fresh copies; returns the new check's report."""
+    got = check_axioms(S_fresh())
+    want = reference_check_axioms(S_fresh())
+    assert (got.ok, got.unit_checked, got.assoc_checked) == (
+        want.ok, want.unit_checked, want.assoc_checked)
+    if all(v[0] == "assoc" for v in want.violations):
+        assert set(got.violations) <= set(want.violations)
+    return got
+
+
+def random_carrier(states, seed):
+    """A criterion-1 random automaton's preclone at trunc 3."""
+    a = random_automaton(SIG, 0, states, random.Random(seed))
+    return transformation_pgpair(a, 3).pgpair.preclone
+
+
+AXIOM_TARGETS = {
+    "t_exists(2)": lambda: t_exists(2).preclone,
+    "t_exists(3)": lambda: t_exists(3).preclone,
+    "t_mod(2, 3)": lambda: t_mod(2, 3).preclone,
+    "t_mod(3, 3)": lambda: t_mod(3, 3).preclone,
+    **{f"random({states}, {seed})": lambda states=states, seed=seed: random_carrier(states, seed)
+       for states, seed in ((2, 16), (2, 3), (3, 41), (3, 185), (3, 249))},
+    "k_exists0": lambda: transformation_pgpair(
+        load_automaton(os.path.join(CORPUS, "k_exists0.aut")), 3).pgpair.preclone,
+    "k_path0": lambda: transformation_pgpair(
+        load_automaton(os.path.join(CORPUS, "k_path0.aut")), 2).pgpair.preclone,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_TARGETS))
+def test_exhaustive_check_matches_triple_walk(name):
+    assert assert_agrees_with_reference(AXIOM_TARGETS[name]).ok
+
+
+def comp_lines(text):
+    return [i for i, line in enumerate(text.splitlines()) if line.startswith("comp ")]
+
+
+def with_results_moved(text, picked):
+    """The dump with the result of each picked comp line moved on by one."""
+    lines = text.splitlines()
+    sizes = {int(l.split()[1]): int(l.split()[2]) for l in lines if l.startswith("sort ")}
+    for i in picked:
+        before, _, result = lines[i].rpartition(" -> ")
+        rank, index = map(int, result.split("."))
+        lines[i] = f"{before} -> {rank}.{(index + 1) % sizes[rank]}"
+    return "\n".join(lines) + "\n"
+
+
+def test_every_single_corruption_of_t_exists2_agrees():
+    text = dump_preclone(t_exists(2).preclone)
+    for i in comp_lines(text):
+        bad = with_results_moved(text, [i])
+        assert not assert_agrees_with_reference(lambda: load_preclone(bad)[0]).ok
+
+
+@pytest.mark.parametrize("entries", [2, 3])
+def test_seeded_corruptions_of_t_mod_agree(entries):
+    text = dump_preclone(t_mod(2, 2).preclone)
+    rng = random.Random(entries)
+    for _ in range(60):
+        picked = rng.sample(comp_lines(text), entries)
+        bad = with_results_moved(text, picked)
+        assert_agrees_with_reference(lambda: load_preclone(bad)[0])
+
+
+def test_every_composition_is_evaluated():
+    for S in (t_exists(2).preclone, random_carrier(3, 41)):
+        text = dump_preclone(S)
+        loaded, _ = load_preclone(text)
+        check_axioms(loaded)
+        assert set(loaded._memo) == set(loaded.iter_compositions())
+    text = dump_preclone(t_exists(2).preclone)
+    lines = text.splitlines()
+    for i in comp_lines(text):
+        S, _ = load_preclone("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+        with pytest.raises(ParseError):
+            check_axioms(S)
+
+
+FAMILY_LINES = {
+    "D": "if cur != S.compose(f, gs):",
+    "SEQ": "if o(fg, i + j, h) != o(f, i, o(g, j, h)):  # SEQ",
+    "PAR": "if o(fg, j - 1 + g[0], h) != o(fh, i, g):  # PAR",
+}
+# single-entry corruptions of random(3, 41)'s carrier that keep the unit
+# laws and that one family alone catches: a comp line and its new result
+ONLY_CAUGHT_BY = {
+    "D": ("comp 2: 2.0 (0.0 1.1) -> ", "1.0"),
+    "SEQ": ("comp 3: 3.0 (1.1 1.0 1.0) -> ", "3.0"),
+    "PAR": ("comp 3: 3.0 (1.0 1.0 1.1) -> ", "3.0"),
+}
+
+
+def without_family(family):
+    source = textwrap.dedent(inspect.getsource(preclone._assoc_witnesses))
+    assert source.count(FAMILY_LINES[family]) == 1
+    namespace = dict(vars(preclone))
+    exec(source.replace(FAMILY_LINES[family], "if False:"), namespace)
+    return namespace["_assoc_witnesses"]
+
+
+@pytest.mark.parametrize("family", sorted(ONLY_CAUGHT_BY))
+def test_each_family_alone_catches_a_corruption(monkeypatch, family):
+    lines = dump_preclone(random_carrier(3, 41)).splitlines()
+    prefix, result = ONLY_CAUGHT_BY[family]
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    assert lines[i] != prefix + result
+    lines[i] = prefix + result
+    bad = "\n".join(lines) + "\n"
+    assert not reference_check_axioms(load_preclone(bad)[0]).ok
+    rep = check_axioms(load_preclone(bad)[0])
+    assert not rep.ok and all(v[0] == "assoc" for v in rep.violations)
+    mutants = {removed: without_family(removed) for removed in FAMILY_LINES}
+    for removed, mutant in mutants.items():
+        monkeypatch.setattr(preclone, "_assoc_witnesses", mutant)
+        assert check_axioms(load_preclone(bad)[0]).ok == (removed == family)
+
+
+def test_par_on_adjacent_slots_catches_a_toy():
+    """Constants a and b, the unit and f of rank 2 with f o_i a = f o_i b = 1
+    and f.(g, h) = h: D holds, SEQ has no instance, and PAR on slots 0 < 1
+    fails, since (f o_0 a) o_0 b = b but (f o_1 b) o_0 a = a."""
+
+    def compose_raw(fkey, frank, gkeys):
+        args = [k for k, _ in gkeys]
+        if fkey != "f":
+            return args[0] if args else fkey
+        plugged = [k for k in args if k != "1"]
+        if not plugged:
+            return "f"
+        if len(plugged) == 1:
+            return "1"
+        return "f" if "f" in plugged else args[1]
+
+    S = preclone.FinitaryPreclone(2, compose_raw)
+    S.set_unit(S.intern(1, "1"))
+    for rank, key in ((0, "a"), (0, "b"), (2, "f")):
+        S.intern(rank, key)
+    want = reference_check_axioms(S)
+    assert not want.ok and all(v[0] == "assoc" for v in want.violations)
+    got = check_axioms(S)
+    assert not got.ok and set(got.violations) <= set(want.violations)
