@@ -11,6 +11,8 @@ image and carrier automata) is the least state set closed under a step
 function, found by semi-naive evaluation, and ``build`` numbers it.
 ``preclone.close_for_evaluation`` closes every generated preclone the
 same way, with the generators as letters and elements as states.
+Callers that evaluate only trees of rank <= k grade states by rank and
+let ``explore`` cap the argument tuples: those subtrees have rank <= k.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import ParseError
 from .trees import (
     RankedAlphabet,
     RankedTree,
+    compositions,
     enumerate_trees,
     rank,
     total_rank,
@@ -83,63 +86,80 @@ def complement(a: TreeAutomaton) -> TreeAutomaton:
     )
 
 
-def explore(alphabet: RankedAlphabet, seeds, step):
+def explore(alphabet: RankedAlphabet, seeds, step, grade=None, cap=0):
     """The least state set holding ``seeds`` and closed under ``step``.
 
     ``step(name, child_states)`` gives the state of a letter over a tuple
-    of states.  Semi-naive: each round applies a letter of arity m only to
-    tuples touching a state new in the previous round; position i takes a
-    new state, positions before i an older one and positions after i any,
-    so every tuple over the result is evaluated exactly once.  Returns
-    (states, tables) with ``tables[name][child_states]`` every value
-    computed, which is total over the result.
+    of states.  A letter of arity m takes only tuples whose grades sum to
+    at most ``cap``, one shape ``c[:-1] for c in compositions(cap, m + 1)``
+    at a time over per-grade pools; a state graded above the cap is kept
+    but is never an argument.  Ungraded (grade 0, cap 0), the one shape is
+    all zeros.  Semi-naive: each round, position i of a shape takes a state
+    new in the previous round, positions before i an older one and those
+    after i any, so every in-cap tuple over the result is evaluated exactly
+    once (in its newest state's round, at the first position holding one)
+    and no other tuple is.  Returns (states, tables) with
+    ``tables[name][child_states]`` every value computed.
     """
+    grade = grade or (lambda q: 0)
     symbols = alphabet.symbols
+    shapes = {m: [c[:-1] for c in compositions(cap, m + 1)] for _, m in symbols}
     tables = {name: {} for name, _ in symbols}
     states = set()
-    new = []
+    new = [[] for _ in range(cap + 1)]
 
-    def record(name, combo):
-        q = tables[name][combo] = step(name, combo)
+    def add(q):
         if q not in states:
             states.add(q)
-            new.append(q)
+            g = grade(q)
+            if g <= cap:
+                new[g].append(q)
 
     for q in seeds:
-        if q not in states:
-            states.add(q)
-            new.append(q)
+        add(q)
     for name, m in symbols:
         if m == 0:
-            record(name, ())
-    old = []
-    while new:
-        fresh, every = new, old + new
-        new = []
+            q = tables[name][()] = step(name, ())
+            add(q)
+    old = [[] for _ in range(cap + 1)]
+    while any(new):
+        fresh, every = new, [o + f for o, f in zip(old, new)]
+        new = [[] for _ in range(cap + 1)]
         for name, m in symbols:
-            for i in range(m):
-                pools = [old] * i + [fresh] + [every] * (m - i - 1)
-                for combo in itertools.product(*pools):
-                    record(name, combo)
+            for shape in shapes[m]:
+                for i in range(m):
+                    pools = ([old[g] for g in shape[:i]] + [fresh[shape[i]]]
+                             + [every[g] for g in shape[i + 1:]])
+                    for combo in itertools.product(*pools):
+                        q = tables[name][combo] = step(name, combo)
+                        add(q)
         old = every
     return states, tables
 
 
-def build(alphabet: RankedAlphabet, k: int, var_states, step, finals):
-    """The automaton on the states reachable from ``var_states`` by ``step``.
+def build(alphabet: RankedAlphabet, k: int, var_states, step, finals,
+          grade=None, cap=0):
+    """The automaton on the states ``explore`` reaches from ``var_states``.
 
     States are numbered in sorted order; ``finals`` is a predicate on
-    them.  Returns (automaton, the states in that order).
+    them.  One non-final sink, numbered last, completes the tables that a
+    cap left partial.  Returns (automaton, the states in that order).
     """
-    states, tables = explore(alphabet, var_states, step)
+    states, tables = explore(alphabet, var_states, step, grade, cap)
     ordered = sorted(states)
     idx = {q: i for i, q in enumerate(ordered)}
+    n = len(ordered)
     transitions = {
         name: {tuple(idx[c] for c in combo): idx[q] for combo, q in table.items()}
         for name, table in tables.items()
     }
+    if any(len(transitions[name]) < n**m for name, m in alphabet.symbols):
+        n += 1
+        for name, m in alphabet.symbols:
+            for combo in itertools.product(range(n), repeat=m):
+                transitions[name].setdefault(combo, n - 1)
     aut = TreeAutomaton(
-        alphabet, k, len(ordered), tuple(idx[q] for q in var_states), transitions,
+        alphabet, k, n, tuple(idx[q] for q in var_states), transitions,
         frozenset(i for i, q in enumerate(ordered) if finals(q)),
     )
     return aut, ordered

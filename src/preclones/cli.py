@@ -91,8 +91,7 @@ def cmd_eval(args):
 def cmd_compile(args):
     phi, sigma, k, _ = load_formula_file(args.formula)
     variables = tuple(sorted(free_vars(phi)))
-    rec = compile_formula(phi, sigma, variables, k, budget=args.budget,
-                          trunc=args.trunc)
+    rec = compile_formula(phi, sigma, variables, k, budget=args.budget)
     os.makedirs(args.out, exist_ok=True)
     pre = rec.pgpair.preclone
     with open(os.path.join(args.out, "carrier.pre"), "w") as fh:
@@ -227,12 +226,10 @@ def build_parser():
     sp = sub.add_parser("eval", help="evaluate a sentence on a tree")
     sp.add_argument("tree")
     sp.add_argument("formula")
-    common(sp, out=False)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("compile", help="compile a formula to a recognizer")
     sp.add_argument("formula")
-    sp.add_argument("--trunc", type=int, default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--budget", type=int, default=100_000)
     sp.set_defaults(func=cmd_compile)
@@ -263,7 +260,7 @@ def build_parser():
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--max-nv", type=int, required=True)
-    common(sp)
+    sp.add_argument("--out")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("axioms", help="check the preclone axioms")

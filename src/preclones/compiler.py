@@ -31,7 +31,7 @@ from .automata import (
     product,
     union,
 )
-from .errors import DeterminismViolation, RankOverflow
+from .errors import DeterminismViolation
 from .logic import (
     And,
     ATOMS,
@@ -325,16 +325,15 @@ def _negate(rec: CompiledRecognizer) -> CompiledRecognizer:
 def _image_closure(T, tau: Morphism, ext, k, variables, x):
     """Images of rank-k trees, annotated with counts and x's node rank.
 
-    Explores the tree algebra bottom-up: every (element, counts, xrank)
-    that a real tree of rank <= k over the extended alphabet produces is
-    reached, exactly; tuples past rank k go to an overflow sink.  Returns
-    the set of (element, counts, xrank) of rank k, with xrank None when x
-    does not occur (or occurs twice, in which case counts saturate).
+    Explores the tree algebra bottom-up, grading a state by its element's
+    rank and capping at k: every (element, counts, xrank) that a real tree
+    of rank <= k over the extended alphabet produces is reached, exactly.
+    Returns the set of (element, counts, xrank) of rank k, with xrank None
+    when x does not occur (or occurs twice, in which case counts saturate).
     """
     allv = tuple(sorted(set(variables) | {x}))
     vpos = {v: i for i, v in enumerate(allv)}
     zeros = (0,) * len(allv)
-    overflow = None
     letters = {}
     for name, m in ext.symbols:
         _, zs = split_symbol(name)
@@ -344,8 +343,6 @@ def _image_closure(T, tau: Morphism, ext, k, variables, x):
         letters[name] = (tau.image[name], tuple(extra), m if x in zs else None)
 
     def step(name, combo):
-        if overflow in combo or sum(el[0] for el, _, _ in combo) > k:
-            return overflow
         img, extra, xrank = letters[name]
         counts = zeros
         for _, c, xr in combo:
@@ -355,9 +352,9 @@ def _image_closure(T, tau: Morphism, ext, k, variables, x):
         counts = _counts_add(counts, extra)
         return T.compose(img, [el for el, _, _ in combo]), counts, xrank
 
-    seeds = [(T.unit, zeros, None)] if k >= 1 else []
-    states, _ = explore(ext, seeds, step)
-    return {s for s in states if s is not overflow and s[0][0] == k}
+    states, _ = explore(ext, [(T.unit, zeros, None)], step,
+                        grade=lambda s: s[0][0], cap=k)
+    return {s for s in states if s[0][0] == k}
 
 
 def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
@@ -505,18 +502,13 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
 def _carrier_automaton(carrier, gamma, accepting, k, ext) -> TreeAutomaton:
     """A DFTA over the extended alphabet simulating carrier evaluation.
 
-    States are the carrier elements reached from the unit plus, sorting
-    after them, a sink for rank overflow (combinations no rank-k tree
-    produces).
+    States are the carrier elements reached from the unit, graded by rank
+    and capped at k; ``build``'s sink stands for the combinations no
+    rank-k tree produces.
     """
-    sink = (k + 1, 0)
-
-    def step(name, els):
-        if sink in els or sum(e[0] for e in els) > k:
-            return sink
-        return carrier.compose(gamma.image[name], els)
-
-    aut, _ = build(ext, k, [carrier.unit] * k, step, lambda el: el in accepting)
+    aut, _ = build(ext, k, [carrier.unit] * k,
+                   lambda name, els: carrier.compose(gamma.image[name], els),
+                   lambda el: el in accepting, grade=lambda el: el[0], cap=k)
     return minimize(aut)
 
 
@@ -569,15 +561,11 @@ class Compiler:
 
 
 def compile_formula(phi, sigma: RankedAlphabet, variables, k: int,
-                    budget=DEFAULT_BUDGET, trunc=None) -> CompiledRecognizer:
+                    budget=DEFAULT_BUDGET) -> CompiledRecognizer:
     """Compile a formula over ``sigma`` with free variables in ``variables``.
 
-    ``trunc``, when given, must be at least k+1 (contexts need that much
-    room); the pipeline itself works at the minimal sound truncations per
-    stage, so larger values only assert feasibility.
+    The pipeline works at the minimal sound truncation of each stage.
     """
-    if trunc is not None and trunc < k + 1:
-        raise RankOverflow(f"truncation {trunc} below k+1 = {k + 1}")
     return Compiler(sigma, k, budget).compile(phi, variables)
 
 

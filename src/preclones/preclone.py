@@ -154,28 +154,21 @@ def close_for_evaluation(pre: FinitaryPreclone, cap, budget=DEFAULT_BUDGET):
     subtree of a tree of rank <= cap has rank <= cap too, and only a
     head, a generator, may lie above the cap.  The elements of rank <=
     cap are therefore the states ``automata.explore`` reaches from the
-    unit over those elements as letters, with a step that composes a
-    letter with arguments whose ranks sum to at most cap and sends every
-    other tuple to an overflow sink.  cap = trunc is the full closure;
-    smaller caps keep carriers small where only trees of that rank are
-    ever evaluated.
+    unit over those elements as letters, graded by rank and capped at
+    cap.  cap = trunc is the full closure; smaller caps keep carriers
+    small where only trees of that rank are ever evaluated.  Each
+    composition computed goes into the memo, width and rank checked.
     """
     letters = RankedAlphabet(tuple((el, el[0]) for el in pre.elements()))
-    overflow = None
 
     def step(f, gs):
-        if overflow in gs:
-            return overflow
-        m = sum(g[0] for g in gs)
-        if m > cap:
-            return overflow
         key = pre._compose_raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
-        el = pre.intern(m, key)
+        el = pre._memo[(f, gs)] = pre.intern(sum(g[0] for g in gs), key)
         if pre.size() > budget:
             raise BudgetExceeded(f"closure exceeded {budget} elements")
         return el
 
-    explore(letters, [pre.unit] if cap >= 1 else [], step)
+    explore(letters, [pre.unit], step, grade=lambda el: el[0], cap=cap)
     return pre
 
 
@@ -782,6 +775,12 @@ def load_preclone(text: str):
             raise ParseError(f"dump line {lineno}: {exc}") from None
     if trunc is None or unit is None:
         raise ParseError("dump missing trunc or unit line")
+    if unit[0] != 1:
+        raise ParseError(f"unit {el_token(unit)} is not of rank 1")
+    tokens = [unit, *gens] + [el for (f, gs), h in table.items() for el in (f, *gs, h)]
+    for el in tokens:
+        if not (0 <= el[0] <= trunc and 0 <= el[1] < sizes.get(el[0], 0)):
+            raise ParseError(f"element {el_token(el)} outside the declared sorts")
 
     def compose_raw(fkey, frank, gkeys):
         entry = table.get((fkey, tuple(g for g, _ in gkeys)))
@@ -796,5 +795,5 @@ def load_preclone(text: str):
     for n in range(trunc + 1):
         for i in range(sizes.get(n, 0)):
             S.intern(n, (n, i))
-    S.set_unit((1, unit[1]))
+    S.set_unit(unit)
     return S, gens

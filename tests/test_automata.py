@@ -377,7 +377,53 @@ def test_explore_evaluates_each_tuple_once():
         assert set(tables[name]) == set(itertools.product(states, repeat=m))
 
 
-def one_round_explore(alphabet, seeds, step):
+def sinking_explore(alphabet, seeds, step, grade, cap):
+    """Reference for a graded explore: the ungraded one, with a step that
+    sends a tuple holding the sink or graded past the cap to the sink."""
+    sink = object()
+
+    def capped(name, qs):
+        if sink in qs or sum(map(grade, qs)) > cap:
+            return sink
+        return step(name, qs)
+
+    states, tables = explore(alphabet, seeds, capped)
+    in_cap = {
+        name: {qs: q for qs, q in table.items() if sink not in qs and q is not sink}
+        for name, table in tables.items()
+    }
+    return states - {sink}, in_cap
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graded_explore_matches_the_overflow_sink(seed):
+    rng = random.Random(seed)
+    for alph in (SIG, TERNARY):
+        for _ in range(10):
+            cap = rng.randrange(4)
+            a = random_automaton(alph, rng.randrange(3), rng.randrange(1, 6), rng)
+            grade = [rng.randrange(cap + 2) for _ in range(a.n_states)].__getitem__
+            calls = []
+
+            def step(name, qs):
+                calls.append((name, qs))
+                return a.transitions[name][qs]
+
+            states, tables = explore(alph, a.var_state, step, grade, cap)
+            want = sinking_explore(
+                alph, a.var_state, lambda name, qs: a.transitions[name][qs], grade, cap
+            )
+            assert (states, tables) == want
+            assert len(calls) == len(set(calls))
+            assert set(calls) == {
+                (name, qs)
+                for name, m in alph.symbols
+                for qs in itertools.product(states, repeat=m)
+                if sum(map(grade, qs)) <= cap
+            }
+
+
+def one_round_explore(alphabet, seeds, step, grade=None, cap=0):
     """A corrupted explore that stops after its first round."""
     states = set(seeds)
     tables = {name: {} for name, _ in alphabet.symbols}

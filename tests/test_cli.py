@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from preclones.cli import load_formula_file, main
 from preclones.preclone import load_preclone, t_exists
 from preclones.syntactic import isomorphic
@@ -177,3 +179,50 @@ def test_corpus_files_all_load():
     assert len(names) >= 25
     for name in names:
         load_formula_file(corp(name))
+
+
+GOLDEN_DUMP = os.path.join(os.path.dirname(__file__), "golden", "t_exists2.pre")
+
+
+def edited_dump(tmp_path, old, new):
+    text = open(GOLDEN_DUMP).read()
+    if old:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    else:
+        text += new
+    path = tmp_path / "edited.pre"
+    path.write_text(text)
+    return str(path)
+
+
+def test_axioms_rejects_a_unit_of_rank_two(tmp_path, capsys):
+    dump = edited_dump(tmp_path, "unit 1.0\n", "unit 2.0\n")
+    code, out, err = run(capsys, "axioms", "--dump", dump)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "rank 1" in err
+
+
+def test_axioms_rejects_a_unit_outside_its_sort(tmp_path, capsys):
+    dump = edited_dump(tmp_path, "unit 1.0\n", "unit 1.7\n")
+    code, _, err = run(capsys, "axioms", "--dump", dump)
+    assert code == 2 and err.startswith("error:") and "1.7" in err
+
+
+def test_blockprod_rejects_a_generator_outside_its_sort(tmp_path, capsys):
+    dump = edited_dump(tmp_path, None, "gen 0.9\n")
+    code, _, err = run(capsys, "blockprod", dump, dump, "--k", "0", "--trunc", "2")
+    assert code == 2 and err.startswith("error:") and "0.9" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", corp("tree_sat.tr"), corp("ex01.lind"), "--budget", "10"],
+    ["enumerate", "--alphabet", corp("sigma_ex.alph"), "--rank", "0",
+     "--max-nv", "1", "--budget", "10"],
+    ["compile", corp("ex01.lind"), "--out", "{tmp}", "--trunc", "3"],
+])
+def test_removed_flags_are_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path / "rec") for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

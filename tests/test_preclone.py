@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from preclones import blockprod, preclone
+from preclones import automata, blockprod, preclone
 from preclones.automata import (
     boolean_alphabet,
     k_exists,
@@ -25,6 +25,7 @@ from preclones.preclone import (
     check_axioms,
     direct_product,
     dump_preclone,
+    el_token,
     identity_partition,
     load_preclone,
     quotient,
@@ -486,7 +487,7 @@ def test_closures_match_references():
     check_closures_against_references()
 
 
-def one_round_explore(alphabet, seeds, step):
+def one_round_explore(alphabet, seeds, step, grade=None, cap=0):
     """A corrupted explore that stops after its first round."""
     seeds = list(seeds)
     for name, m in alphabet.symbols:
@@ -501,16 +502,50 @@ def test_one_round_closure_is_caught(monkeypatch):
         check_closures_against_references()
 
 
-@pytest.mark.parametrize("mutated", ["if m >= cap:", "if m > cap + 1:"])
-def test_off_by_one_cap_is_caught(monkeypatch, mutated):
-    source = textwrap.dedent(inspect.getsource(preclone.close_for_evaluation))
-    assert source.count("if m > cap:") == 1
-    namespace = dict(vars(preclone))
-    exec(source.replace("if m > cap:", mutated), namespace)
-    monkeypatch.setattr(preclone, "close_for_evaluation", namespace["close_for_evaluation"])
-    monkeypatch.setattr(blockprod, "close_for_evaluation", namespace["close_for_evaluation"])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_off_by_one_cap_is_caught(monkeypatch, shift):
+    def shifted(alphabet, seeds, step, grade=None, cap=0):
+        return automata.explore(alphabet, seeds, step, grade, cap + shift)
+
+    monkeypatch.setattr(preclone, "explore", shifted)
     with pytest.raises(AssertionError):
         check_closures_against_references()
+
+
+def assert_closure_wrote_through(pre, letters, cap):
+    """Every in-cap (f, gs) over the closure's letters is a memo hit, and
+    every memo entry is what the raw composition gives."""
+    raw = pre._compose_raw
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
+
+    pre._compose_raw = counting
+    for f in letters:
+        for gs in pre.iter_tuples(f[0], cap):
+            pre.compose(f, gs)
+    assert calls == []
+    for (f, gs), el in pre._memo.items():
+        key = raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
+        assert pre.lookup(sum(g[0] for g in gs), key) == el
+
+
+def test_closure_writes_through_to_the_compose_memo():
+    for cap in (0, 1, 2):
+        for a in NAMED_AUTOMATA + RANDOM_AUTOMATA:
+            pg = transformation_pgpair(a, 2, eval_cap=cap).pgpair
+            letters = [pg.preclone.unit] + pg.generators
+            assert_closure_wrote_through(pg.preclone, letters, cap)
+
+    pg = t_exists(2)
+    bp, carrier = block_product_pg(pg, pg, 0, trunc=2)
+    gen_keys = [carrier.preclone.key(g) for g in carrier.generators]
+    for cap in (0, 1, 2):
+        sub = bp.carrier_pgpair(gen_keys, eval_cap=cap)
+        letters = [sub.preclone.unit] + sub.generators
+        assert_closure_wrote_through(sub.preclone, letters, cap)
 
 
 def test_budget_reaches_every_closure_caller():
@@ -644,17 +679,39 @@ def test_every_composition_is_evaluated():
             check_axioms(S)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("comp 0: 0.0 () -> 0.0\n", "comp 0: 0.0 () -> 0.5\n"),
+    ("comp 0: 0.0 () -> 0.0\n", "comp 0: 3.0 () -> 0.0\n"),
+    ("comp 1: 1.0 (0.0) -> 0.0\n", "comp 1: 1.0 (0.4) -> 0.0\n"),
+])
+def test_load_preclone_rejects_comp_tokens_outside_the_sorts(old, new):
+    pg = t_exists(2)
+    text = dump_preclone(pg.preclone, pg.generators)
+    assert text.count(old) == 1
+    with pytest.raises(ParseError):
+        load_preclone(text.replace(old, new))
+
+
 FAMILY_LINES = {
     "D": "if cur != S.compose(f, gs):",
     "SEQ": "if o(fg, i + j, h) != o(f, i, o(g, j, h)):  # SEQ",
     "PAR": "if o(fg, j - 1 + g[0], h) != o(fh, i, g):  # PAR",
 }
 # single-entry corruptions of random(3, 41)'s carrier that keep the unit
-# laws and that one family alone catches: a comp line and its new result
+# laws and that one family alone catches: a composition f.(gs) and its new
+# result, each element given by its rank and transformation table
+RANDOM_41 = {
+    "a": (0, (1,)),
+    "1": (1, (0, 1, 2)),
+    "c": (1, (1, 1, 1)),
+    "f": (2, (1, 1, 0, 0, 1, 2, 2, 1, 2)),
+    "h": (3, (0, 1, 2, 0, 1, 2, 1, 1, 0, 1, 1, 0, 0, 1, 2,
+              2, 1, 2, 2, 1, 2, 0, 1, 2, 2, 1, 2)),
+}
 ONLY_CAUGHT_BY = {
-    "D": ("comp 2: 2.0 (0.0 1.1) -> ", "1.0"),
-    "SEQ": ("comp 3: 3.0 (1.1 1.0 1.0) -> ", "3.0"),
-    "PAR": ("comp 3: 3.0 (1.0 1.0 1.1) -> ", "3.0"),
+    "D": ("f", "ac", "1"),
+    "SEQ": ("h", "c11", "h"),
+    "PAR": ("h", "11c", "h"),
 }
 
 
@@ -668,8 +725,12 @@ def without_family(family):
 
 @pytest.mark.parametrize("family", sorted(ONLY_CAUGHT_BY))
 def test_each_family_alone_catches_a_corruption(monkeypatch, family):
-    lines = dump_preclone(random_carrier(3, 41)).splitlines()
-    prefix, result = ONLY_CAUGHT_BY[family]
+    S = random_carrier(3, 41)
+    el = {name: S.lookup(rank, (3, table)) for name, (rank, table) in RANDOM_41.items()}
+    f, gs, result = ONLY_CAUGHT_BY[family]
+    prefix = f"comp {len(gs)}: {el_token(el[f])} ({' '.join(el_token(el[g]) for g in gs)}) -> "
+    result = el_token(el[result])
+    lines = dump_preclone(S).splitlines()
     (i,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
     assert lines[i] != prefix + result
     lines[i] = prefix + result
