@@ -6,8 +6,7 @@ plain pairs ``(F, f)`` with F a tuple of S-element handles indexed by the
 deterministic context enumeration order.
 
 Every operation here reads a table at a context derived from another
-context by stacking, C.D (``syntactic.stack_contexts``), and looks the
-result up with ``BlockProduct.index``:
+context by stacking, C.D (``syntactic.stack_contexts``):
 
 - composition reads F at c.O and the i-th argument's table at
   (c.A_i).B_i, for holes O, A_i, B_i built from (f, gs) alone;
@@ -15,9 +14,9 @@ result up with ``BlockProduct.index``:
 - relabelling reads each letter's table at D.H, H the hole that the
   node's factorization leaves in the tree's image in T.
 
-The derived indices depend only on T-side data, so each user keeps an
-integer gather plan: per (f, gs) for composition, per rank for a context
-morphism.
+The derived indices depend only on T-side data and the holes, so all
+three read one cache, ``BlockProduct.column``: for a path of holes, the
+index of c.h_1...h_r for every context c, kept per path.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ class BlockProduct:
         self.ctx_index = [
             {c: i for i, c in enumerate(cs)} for cs in self.contexts
         ]
-        self._plans = {}  # (f, gs) -> index columns, see compose
+        self._columns = {}  # path of holes -> index column, see column
+        self._plans = {}  # (f, gs) -> the columns compose reads
 
     # -- element helpers -----------------------------------------------------
 
@@ -100,6 +100,24 @@ class BlockProduct:
             raise RankOverflow(f"derived context missing at rank {len(c.v)}: {c}")
         return i
 
+    def column(self, *holes):
+        """Index of c.h_1...h_r for each context c of h_1's sort, in order.
+
+        A path is cached as a whole rather than composed from single-hole
+        columns: an intermediate c.h_1...h_j may be wider than ``trunc``
+        and so have no index (compose's c.A_i has width n-1+w_i).
+        """
+        col = self._columns.get(holes)
+        if col is None:
+            first = holes[0]
+            col = []
+            for c in self.contexts[first.k1 + sum(x[0] for x in first.v) + first.k2]:
+                for h in holes:
+                    c = stack_contexts(self.T, c, h)
+                col.append(self.index(c))
+            col = self._columns[holes] = tuple(col)
+        return col
+
     # -- composition -----------------------------------------------------------
 
     def compose(self, ff, ggs):
@@ -139,22 +157,13 @@ class BlockProduct:
         """
         T = self.T
         n = len(gs)
-        m = sum(g[0] for g in gs)
-        holes = [[Context(T.unit, 0, gs, 0)]]
+        cols = [self.column(Context(T.unit, 0, gs, 0))]
         for i, g in enumerate(gs):
             units = (T.unit,) * g[0]
-            holes.append([
+            cols.append(self.column(
                 Context(T.unit, 0, gs[:i] + units + gs[i + 1 :], 0),
                 Context(f, i, units, n - 1 - i),
-            ])
-        cols = []
-        for path in holes:
-            col = []
-            for c in self.contexts[m]:
-                for h in path:
-                    c = stack_contexts(T, c, h)
-                col.append(self.index(c))
-            cols.append(tuple(col))
+            ))
         return tuple(cols)
 
     def eval_tree(self, gamma, t: RankedTree):
@@ -296,16 +305,17 @@ def restricted_block_product(S, Tfull, t_elements, k, trunc=None):
 def alpha_context_morphism(src: RestrictedBlockProduct, dst: BlockProduct, C: Context):
     """The morphism S []_k^{T'} T -> S []_n T determined by a context C.
 
-    C is an n-ary context over T' in sort k; the image of (F, f) is
-    (F^C, f) with F^C(D) = F(C.D), reading F at C stacked on the target
-    context D.  Satisfies F^C(1, 0, n-units, 0) = F(C).  Every C.D is a
-    context in sort k, so it needs no more truncation than src already
-    has.  dst must be the block product of S and T at level n = width of C.
-    The gather plan depends only on (C, m), so it is built once per rank m.
+    C is an n-ary context over T' in sort k, one of src's contexts; the
+    image of (F, f) is (F^C, f) with F^C(D) = F(C.D), read at entry C of
+    D's column.  Satisfies F^C(1, 0, n-units, 0) = F(C).  Every C.D is in
+    sort k, so it needs no more truncation than src already has.  dst
+    must be the block product of S and T at level n = width of C.
     """
-    T = src.bp.T
     if dst.k != len(C.v):
         raise ValueError("destination level must equal the context width")
+    ci = src.bp.ctx_index[len(C.v)].get(C)
+    if ci is None:
+        raise ValueError(f"not a context of the source product: {C}")
     plans = {}
 
     def apply(ff):
@@ -313,9 +323,7 @@ def alpha_context_morphism(src: RestrictedBlockProduct, dst: BlockProduct, C: Co
         m = f[0]
         plan = plans.get(m)
         if plan is None:
-            plan = plans[m] = [
-                src.bp.index(stack_contexts(T, C, D)) for D in dst.contexts[m]
-            ]
+            plan = plans[m] = [src.bp.column(D)[ci] for D in dst.contexts[m]]
         return (tuple(F[i] for i in plan), f)
 
     return apply
@@ -333,12 +341,11 @@ def relabel(t: RankedTree, D: Context, gamma, tau: Morphism, bp: BlockProduct):
     t's shape and variable leaves; NV labels become S-element handles.
     A node labelled sigma factors t as f_tree . (r1 units + sigma(children)
     + r3 units), which leaves the hole H = (tau(f_tree), r1, tau(children),
-    r3) in sort rank(t); the node's label is F_sigma(D.H).  D.H is in
-    sort k, so it needs no more truncation than D itself.
+    r3) in sort rank(t); the node's label is F_sigma(D.H), read at entry
+    D of H's column.  D.H is in sort k, so needs no more truncation.
     """
-    T = bp.T
-    n = tree_rank(t)
-    if D not in bp.ctx_index[n]:
+    d = bp.ctx_index[tree_rank(t)].get(D)
+    if d is None:
         raise ValueError("context does not match the tree's rank")
 
     def label_for(path):
@@ -347,7 +354,7 @@ def relabel(t: RankedTree, D: Context, gamma, tau: Morphism, bp: BlockProduct):
             tau.eval(f_tree), r1, tuple(tau.eval(c) for c in g_sub.children), r3
         )
         F_sigma, _ = gamma[g_sub.label]
-        return F_sigma[bp.index(stack_contexts(T, D, hole))]
+        return F_sigma[bp.column(hole)[d]]
 
     def walk(s, path):
         if s.is_var():

@@ -117,8 +117,8 @@ def cmd_check_equiv(args):
     t0 = time.time()
     rec = compile_formula(phi, sigma, variables, k, budget=args.budget)
     rep = check_equivalence(phi, rec, args.max_nv)
-    elapsed = time.time() - t0
-    print(rep.summary() + f" [{elapsed:.2f}s]")
+    print(rep.summary())
+    print(f"elapsed {time.time() - t0:.2f}s", file=sys.stderr)
     for t, lam in rep.mismatches[:10]:
         where = " ".join(f"{v}->{'.'.join(map(str, p)) or 'root'}" for v, p in sorted(lam.items()))
         print(f"witness: {tree_to_text(t)} {where}".rstrip())

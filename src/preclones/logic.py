@@ -401,7 +401,11 @@ def _rename_binder(chi: QK, taken):
 
 def rank_test(z: str, n: int, sigma: RankedAlphabet):
     """The formula 'z sits at a rank-n node': a disjunction of letter atoms."""
-    letters = sigma.by_arity(n)
+    return _letter_disjunction(sigma.by_arity(n), z)
+
+
+def _letter_disjunction(letters, z):
+    """P_a1(z) or ... or P_ar(z), nested to the left; FALSE for no letters."""
     out = FALSE
     for i, name in enumerate(letters):
         out = PSym(name, z) if i == 0 else Or(out, PSym(name, z))
@@ -455,11 +459,7 @@ def inverse_literal_image(phi, h: dict, source: RankedAlphabet, target: RankedAl
 
     def rec(f):
         if isinstance(f, PSym):
-            pre = [a for a in source.names() if h[a] == f.sym]
-            out = FALSE
-            for i, a in enumerate(pre):
-                out = PSym(a, f.x) if i == 0 else Or(out, PSym(a, f.x))
-            return out
+            return _letter_disjunction([a for a in source.names() if h[a] == f.sym], f.x)
         return _map_subformulas(f, rec)
 
     return rec(phi)
@@ -772,27 +772,18 @@ class _FormulaParser:
 
     def _leftright(self, kind, j, x):
         k = self.k
-        if kind == "left":
-            if j == 0:
-                if k < 1:
-                    raise ParseError("left[0] needs rank >= 1")
-                out = Not(LeftJ(1, x))
-                for jj in range(2, k + 1):
-                    out = And(out, Not(LeftJ(jj, x)))
-                return out
-            if not 1 <= j <= k:
-                raise ParseError(f"left index {j} outside rank {k}")
-            return LeftJ(j, x)
-        if j == k + 1:
+        atom, none = (LeftJ, 0) if kind == "left" else (RightJ, k + 1)
+        if j == none:
+            # left[0] / right[k+1]: x is left (right) of no variable
             if k < 1:
-                raise ParseError("right[k+1] needs rank >= 1")
-            out = Not(RightJ(1, x))
+                raise ParseError(f"{kind}[{none}] needs rank >= 1")
+            out = Not(atom(1, x))
             for jj in range(2, k + 1):
-                out = And(out, Not(RightJ(jj, x)))
+                out = And(out, Not(atom(jj, x)))
             return out
         if not 1 <= j <= k:
-            raise ParseError(f"right index {j} outside rank {k}")
-        return RightJ(j, x)
+            raise ParseError(f"{kind} index {j} outside rank {k}")
+        return atom(j, x)
 
 
 def parse_formula(text: str, sigma: RankedAlphabet, k: int, langs=None):

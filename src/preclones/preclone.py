@@ -768,7 +768,18 @@ def load_preclone(text: str):
                     for p in parts[3:close_i]
                     if p.strip("()")
                 )
-                table[(f, args)] = parse_el(parts[close_i + 1])
+                h = parse_el(parts[close_i + 1])
+                if not int(parts[1].rstrip(":")) == f[0] == len(args):
+                    raise ValueError(f"{len(args)} arguments under '{parts[1]}' "
+                                     f"for {el_token(f)} of rank {f[0]}")
+                m = sum(g[0] for g in args)
+                if h[0] != m:
+                    raise ValueError(f"result {el_token(h)} does not have the "
+                                     f"argument ranks' sum {m}")
+                if (f, args) in table:
+                    raise ValueError(f"second comp line for the same {el_token(f)} "
+                                     f"({' '.join(map(el_token, args))})")
+                table[(f, args)] = h
             else:
                 raise ParseError(f"unknown keyword {kw!r}")
         except (IndexError, ValueError) as exc:

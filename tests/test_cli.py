@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -42,8 +43,11 @@ def test_eval_rejects_open_formula(capsys):
 
 
 def test_check_equiv_pass(capsys):
-    code, out, _ = run(capsys, "check-equiv", corp("ex01.lind"), "--max-nv", "3")
-    assert code == 0 and "PASS" in out
+    # the elapsed time goes to stderr, so stdout depends on the inputs alone
+    code, out, err = run(capsys, "check-equiv", corp("ex01.lind"), "--max-nv", "3")
+    assert code == 0
+    assert out == "checked 10 structures, 7 accepted: PASS\n"
+    assert re.fullmatch(r"elapsed \d+\.\d\ds\n", err)
 
 
 def test_check_equiv_open_formula(capsys):

@@ -1,8 +1,9 @@
-"""Context stacking and the block-product gather plans built on it.
+"""Context stacking and the block-product column cache built on it.
 
 (a) the stacking laws, exhaustively over small contexts;
-(b) BlockProduct.compose against a direct per-context rewrite;
-(c) a corrupted plan entry is caught by the comparison of (b).
+(b) BlockProduct.compose against a direct per-context rewrite, and
+    alpha_context_morphism and relabel against direct stacking;
+(c) a corrupted column entry is caught by each comparison of (b).
 """
 
 import itertools
@@ -11,16 +12,22 @@ import random
 import pytest
 
 from preclones.automata import TreeAutomaton
-from preclones.blockprod import BlockProduct
+from preclones.blockprod import (
+    BlockProduct,
+    alpha_context_morphism,
+    relabel,
+    restricted_block_product,
+)
 from preclones.errors import RankOverflow
-from preclones.preclone import t_exists, t_mod, transformation_pgpair
+from preclones.preclone import Morphism, t_exists, t_mod, transformation_pgpair
 from preclones.syntactic import (
     Context,
     enumerate_contexts,
     insert_in_context,
     stack_contexts,
 )
-from preclones.trees import alphabet
+from preclones.trees import RankedTree, alphabet, enumerate_trees, factor_at, nv_nodes
+from preclones.trees import rank as tree_rank
 
 
 def t_left():
@@ -128,7 +135,8 @@ def test_index_raises_rank_overflow_for_a_missing_context():
 
 
 # ---------------------------------------------------------------------------
-# (b) the direct per-context rewrite, as an oracle for the gather plans
+# (b) the direct per-context rewrite and direct stacking, as oracles for
+# the column cache
 
 
 def reference_compose(bp, ff, ggs):
@@ -195,32 +203,208 @@ def test_compose_matches_the_direct_rewrite(k, name):
     bp = BlockProduct(T, T, k, trunc=3)
     cases = random_cases(bp, 400, random.Random(41 + k))
     assert compose_mismatches(bp, cases) == []
-    assert len(bp._plans) < len(cases)  # plans were reused, not rebuilt
+    # columns are shared between plans, and plans between cases
+    reads = sum(len(plan) for plan in bp._plans.values())
+    assert len(bp._columns) < reads and len(bp._plans) < len(cases)
+
+
+
+
+def reference_alpha(src, dst, C, ff):
+    """alpha_C(F, f) by stacking C on every target context directly."""
+    F, f = ff
+    T = src.bp.T
+    return (tuple(F[src.bp.index(stack_contexts(T, C, D))] for D in dst.contexts[f[0]]), f)
+
+
+def hole_at(t, path, tau):
+    """The hole that the node at path leaves in t's image under tau."""
+    f_tree, r1, g_sub, r3 = factor_at(t, path)
+    return Context(tau.eval(f_tree), r1, tuple(tau.eval(c) for c in g_sub.children), r3)
+
+
+def reference_relabel(t, D, gamma, tau, bp):
+    """relabel by stacking D on every node's hole directly."""
+
+    def walk(s, path):
+        if s.is_var():
+            return s
+        hole = hole_at(t, path, tau)
+        label = gamma[s.label][0][bp.index(stack_contexts(bp.T, D, hole))]
+        return RankedTree(label, tuple(walk(c, path + (i,)) for i, c in enumerate(s.children)))
+
+    return walk(t, ())
+
+
+def index_table(bp, m, tag):
+    """A rank-m table whose entry at context i is the label f"{tag}@{i}".
+
+    Read through a gather it spells out the gathered indices, so equal
+    results mean equal index plans.
+    """
+    return tuple(f"{tag}@{i}" for i in range(bp.n_contexts(m)))
+
+
+def sort_of(h):
+    return h.k1 + sum(x[0] for x in h.v) + h.k2
+
+
+class AlphaSweep:
+    """alpha_C for every context C of widths 0..2 of S []_k^T T, T = S."""
+
+    def __init__(self, T, k):
+        t_els = [T.sort(n) for n in range(T.trunc + 1)]
+        self.src = restricted_block_product(T, T, t_els, k, trunc=2)
+        self.dsts = {n: BlockProduct(T, T, n, trunc=2) for n in range(3)}
+
+    def agrees(self, C, m):
+        """Does alpha_C gather rank-m tables as direct stacking does?"""
+        bp, dst = self.src.bp, self.dsts[len(C.v)]
+        ff = (index_table(bp, m, "F"), bp.T.sort(m)[0])
+        return alpha_context_morphism(self.src, dst, C)(ff) == reference_alpha(
+            self.src, dst, C, ff)
+
+    def mismatches(self):
+        return [
+            (C, m) for n in self.dsts for C in self.src.bp.contexts[n]
+            for m in range(3) if not self.agrees(C, m)
+        ]
+
+
+RELABEL_SIGMA = alphabet("f/2", "g/1", "a/0")
+
+
+class RelabelSweep:
+    """relabel over seeded trees of ranks 0..2, at every context D."""
+
+    def __init__(self, T, k, per_rank, seed):
+        rng = random.Random(seed)
+        self.bp = bp = BlockProduct(T, T, k, trunc=2)
+        image = {}
+        self.gamma = {}
+        for name, a in RELABEL_SIGMA.symbols:
+            image[name] = T.sort(a)[rng.randrange(T.sort_size(a))]
+            self.gamma[name] = (index_table(bp, a, name), image[name])
+        self.tau = Morphism(RELABEL_SIGMA, T, image)
+        self.trees = []
+        for n in range(3):
+            pool = list(enumerate_trees(RELABEL_SIGMA, n, 4))
+            self.trees += rng.sample(pool, min(per_rank, len(pool)))
+        self.tree_of = {}  # hole -> a tree with a node leaving that hole
+        for t in self.trees:
+            for path in nv_nodes(t):
+                self.tree_of.setdefault(hole_at(t, path, self.tau), t)
+
+    def agrees(self, t, D):
+        args = (t, D, self.gamma, self.tau, self.bp)
+        return relabel(*args) == reference_relabel(*args)
+
+    def mismatches(self):
+        return [
+            (t, D) for t in self.trees for D in self.bp.contexts[tree_rank(t)]
+            if not self.agrees(t, D)
+        ]
+
+
+@pytest.mark.parametrize("name", ["t_exists", "t_left"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_alpha_matches_direct_stacking(k, name):
+    sweep = AlphaSweep(PRECLONES[name](), k)
+    assert sweep.mismatches() == []
+    assert sweep.src.bp._columns  # alpha read the cache
+
+
+@pytest.mark.parametrize("name", ["t_exists", "t_left"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_relabel_matches_direct_stacking(k, name):
+    sweep = RelabelSweep(PRECLONES[name](), k, 12, 43 + k)
+    assert sweep.mismatches() == []
+    assert set(sweep.bp._columns) == {(h,) for h in sweep.tree_of}
+
+
+def test_alpha_rejects_a_context_outside_the_source_product():
+    T = t_exists(3).preclone
+    sweep = AlphaSweep(T, 0)
+    C = enumerate_contexts(T, 1, 1)[0]  # sort 1, not the source's sort 0
+    with pytest.raises(ValueError, match="not a context of the source"):
+        alpha_context_morphism(sweep.src, sweep.dsts[1], C)
 
 
 # ---------------------------------------------------------------------------
-# (c) mutation: every corrupted plan entry shows up in the comparison
+# (c) mutation: every corrupted column entry shows up in the comparisons
+
+
+def corrupted_columns(bp):
+    """Corrupt each cached column entry in turn, yielding (holes, row, bad).
+
+    Entry ``row`` is moved on by one, to ``bad``; compose's plans are
+    dropped so that they read the corrupted column.  The cache is
+    restored after.
+    """
+    for holes, column in list(bp._columns.items()):
+        size = bp.n_contexts(len(holes[-1].v))
+        assert size >= 2
+        for row, idx in enumerate(column):
+            bad = (idx + 1) % size
+            bp._columns[holes] = column[:row] + (bad,) + column[row + 1 :]
+            bp._plans.clear()
+            yield holes, row, bad
+        bp._columns[holes] = column
+    bp._plans.clear()
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_corrupted_plan_entry_is_reported(k):
+def test_corrupted_column_entry_is_caught_by_compose(k):
     S = T = t_exists(3).preclone
     bp = BlockProduct(S, T, k, trunc=2)
     x = (1, 1)  # true_1: x . unit == unit . x == x != unit
     units = (S.unit,) * bp.n_contexts(1)
-    key = (T.unit, (T.unit,))
-    bp.compose((units, T.unit), [(units, T.unit)])
-    plan = bp._plans[key]
     assert len(units) >= 2
-    for col, column in enumerate(plan):
-        for row, idx in enumerate(column):
-            bad = (idx + 1) % len(units)
-            tables = [units, units]
-            tables[col] = units[:bad] + (x,) + units[bad + 1 :]
-            case = ((tables[0], T.unit), [(tables[1], T.unit)])
-            assert compose_mismatches(bp, [case]) == []
-            bp._plans[key] = (
-                plan[:col] + (column[:row] + (bad,) + column[row + 1 :],) + plan[col + 1 :]
-            )
-            assert compose_mismatches(bp, [case]) == [case]
-            bp._plans[key] = plan
+
+    def case(table, bad):
+        """unit . unit with x at position bad of F's (0) or G's (1) table."""
+        tables = [units, units]
+        tables[table] = units[:bad] + (x,) + units[bad + 1 :]
+        return ((tables[0], T.unit), [(tables[1], T.unit)])
+
+    cases = [case(table, bad) for table in (0, 1) for bad in range(len(units))]
+    assert compose_mismatches(bp, cases) == []
+    # F's column is that of the one hole O, the argument's that of A_0, B_0
+    assert sorted(map(len, bp._columns)) == [1, 2]
+    corrupted = 0
+    for holes, _, bad in corrupted_columns(bp):
+        bad_case = case(len(holes) - 1, bad)
+        assert compose_mismatches(bp, [bad_case]) == [bad_case]
+        corrupted += 1
+    assert corrupted == 2 * len(units)
+    assert compose_mismatches(bp, cases) == []
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_corrupted_column_entry_is_caught_by_alpha(k):
+    # alpha_C at rank m reads entry C of the column of each D in m's sort
+    sweep = AlphaSweep(t_exists(3).preclone, k)
+    assert sweep.mismatches() == []
+    contexts = sweep.src.bp.contexts
+    corrupted = 0
+    for (D,), row, _ in corrupted_columns(sweep.src.bp):
+        assert not sweep.agrees(contexts[sort_of(D)][row], len(D.v))
+        corrupted += 1
+    assert corrupted == sum(len(col) for col in sweep.src.bp._columns.values()) > 0
+    assert sweep.mismatches() == []
+
+
+@pytest.mark.parametrize("name", ["t_exists", "t_left"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_corrupted_column_entry_is_caught_by_relabel(k, name):
+    # relabel(t, D) reads entry D of the column of each of its nodes' holes
+    sweep = RelabelSweep(PRECLONES[name](), k, 12, 43 + k)
+    assert sweep.mismatches() == []
+    contexts = sweep.bp.contexts
+    corrupted = 0
+    for (H,), row, _ in corrupted_columns(sweep.bp):
+        t = sweep.tree_of[H]
+        assert not sweep.agrees(t, contexts[tree_rank(t)][row])
+        corrupted += 1
+    assert corrupted == sum(len(col) for col in sweep.bp._columns.values()) > 0
+    assert sweep.mismatches() == []

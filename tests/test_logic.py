@@ -87,6 +87,29 @@ def test_parse_left_sugar():
     assert phi2 == And(Not(RightJ(1, "x")), Not(RightJ(2, "x")))
 
 
+NO_LEFT_OR_RIGHT = {
+    1: lambda J: Not(J(1, "x")),
+    2: lambda J: And(Not(J(1, "x")), Not(J(2, "x"))),
+    3: lambda J: And(And(Not(J(1, "x")), Not(J(2, "x"))), Not(J(3, "x"))),
+}
+
+
+@pytest.mark.parametrize("k", sorted(NO_LEFT_OR_RIGHT))
+def test_parse_left_0_and_right_k_plus_1(k):
+    assert parse_formula("left[0](x)", SIG, k) == NO_LEFT_OR_RIGHT[k](LeftJ)
+    assert parse_formula(f"right[{k + 1}](x)", SIG, k) == NO_LEFT_OR_RIGHT[k](RightJ)
+    for j in range(1, k + 1):
+        assert parse_formula(f"left[{j}](x)", SIG, k) == LeftJ(j, "x")
+        assert parse_formula(f"right[{j}](x)", SIG, k) == RightJ(j, "x")
+    for bad in ("left[-1]", f"left[{k + 1}]", "right[0]", f"right[{k + 2}]"):
+        with pytest.raises(ParseError):
+            parse_formula(bad + "(x)", SIG, k)
+    with pytest.raises(ParseError):
+        parse_formula("left[0](x)", SIG, 0)
+    with pytest.raises(ParseError):
+        parse_formula("right[1](x)", SIG, 0)
+
+
 def test_parse_rejects_bad_indices():
     with pytest.raises(ParseError):
         parse_formula("left[1](x)", SIG, 0)

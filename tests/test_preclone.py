@@ -692,6 +692,30 @@ def test_load_preclone_rejects_comp_tokens_outside_the_sorts(old, new):
         load_preclone(text.replace(old, new))
 
 
+GOLDEN_T_EXISTS2 = os.path.join(os.path.dirname(__file__), "golden", "t_exists2.pre")
+
+
+@pytest.mark.parametrize("old,new,cause", [
+    # a second, contradictory line for the same (f, gs)
+    ("comp 1: 1.0 (0.0) -> 0.0\n",
+     "comp 1: 1.0 (0.0) -> 0.0\ncomp 1: 1.0 (0.0) -> 0.1\n", "second comp line"),
+    # result rank 1, argument ranks summing to 0
+    ("comp 1: 1.0 (0.0) -> 0.0\n", "comp 1: 1.0 (0.0) -> 1.0\n", "ranks' sum"),
+    # argument count differs from the head's rank, then from the prefix
+    ("comp 1: 1.0 (0.0) -> 0.0\n", "comp 1: 1.0 (0.0 0.0) -> 0.0\n", "arguments"),
+    ("comp 1: 1.0 (0.0) -> 0.0\n", "comp 2: 1.0 (0.0) -> 0.0\n", "arguments"),
+])
+def test_load_preclone_rejects_an_inconsistent_comp_line(old, new, cause):
+    with open(GOLDEN_T_EXISTS2) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    load_preclone(text)
+    # the error names the last line of the replacement
+    lineno = text[: text.index(old)].count("\n") + new.count("\n")
+    with pytest.raises(ParseError, match=f"dump line {lineno}: .*{cause}"):
+        load_preclone(text.replace(old, new))
+
+
 FAMILY_LINES = {
     "D": "if cur != S.compose(f, gs):",
     "SEQ": "if o(fg, i + j, h) != o(f, i, o(g, j, h)):  # SEQ",
