@@ -49,18 +49,49 @@ AXIOMS = (
       "--samples", "200", "--seed", "3")),
     ("axioms_tmod3_trunc3.txt", ("--builtin", "tmod", "--p", "3", "--trunc", "3")),
 )
+# the semantics side: tree enumeration, the structure walk of check-equiv
+# (ex27 nests two quantifiers, ex31 and ex32 have a free variable) and
+# evaluation of sentences with exists, succ and a named language
+ENUMERATE = tuple(
+    (f"enumerate_{alph}_rank{k}_nv4.txt",
+     ("--alphabet", f"tests/corpus/{alph}.alph", "--rank", str(k), "--max-nv", "4"))
+    for alph, k in (("sigma_ex", 0), ("sigma_ex", 1), ("sigma_ex", 2), ("dbool", 1))
+)
+CHECK_EQUIV = (
+    ("check_equiv_ex27_nv4.txt", ("tests/corpus/ex27.lind", "--max-nv", "4")),
+    ("check_equiv_ex31_nv5.txt", ("tests/corpus/ex31.lind", "--max-nv", "5")),
+    ("check_equiv_ex32_nv5.txt", ("tests/corpus/ex32.lind", "--max-nv", "5")),
+)
+EVAL_TREES = ("tree_sat", "tree_unsat")
+EVAL_FORMULAS = ("ex01", "ex05", "ex10", "ex11")
 
 
-def cli(args, hash_seed="0"):
-    """stdout of ``python -m preclones.cli ARGS`` in a fresh process at ROOT."""
+def cli(args, hash_seed="0", codes=(0,)):
+    """stdout of ``python -m preclones.cli ARGS`` in a fresh process at ROOT.
+
+    Raises unless the exit code is one of ``codes``.
+    """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "preclones.cli", *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        cwd=ROOT, env=env, capture_output=True, text=True,
     )
+    if proc.returncode not in codes:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, proc.stdout,
+                                            proc.stderr)
     return proc.stdout
+
+
+def eval_report(tree, hash_seed="0"):
+    """One ``FORMULA: VERDICT`` line per EVAL_FORMULAS sentence on the tree."""
+    lines = []
+    for name in EVAL_FORMULAS:
+        out = cli(["eval", f"tests/corpus/{tree}.tr", f"tests/corpus/{name}.lind"],
+                  hash_seed, codes=(0, 1))
+        lines.append(f"{name}: {out}")
+    return "".join(lines)
 
 
 def blockprod_digest(text):
@@ -204,6 +235,18 @@ def main():
     for fname, args in AXIOMS:
         with open(os.path.join(GOLDEN, fname), "w") as fh:
             fh.write(cli(["axioms", *args]))
+
+    for fname, args in ENUMERATE:
+        with open(os.path.join(GOLDEN, fname), "w") as fh:
+            fh.write(cli(["enumerate", *args]))
+
+    for fname, args in CHECK_EQUIV:
+        with open(os.path.join(GOLDEN, fname), "w") as fh:
+            fh.write(cli(["check-equiv", *args]))
+
+    for tree in EVAL_TREES:
+        with open(os.path.join(GOLDEN, f"eval_{tree}.txt"), "w") as fh:
+            fh.write(eval_report(tree))
 
     digest, carrier = blockprod_digest(cli(BLOCKPROD_ARGS))
     with open(os.path.join(GOLDEN, "blockprod_t_exists2_k0_trunc2.txt"), "w") as fh:

@@ -62,6 +62,27 @@ def test_axioms_report_matches_golden(fname, args, hash_seed):
     assert got == read(os.path.join(GOLDEN, fname))
 
 
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+@pytest.mark.parametrize("fname,args", make_golden.ENUMERATE)
+def test_enumerate_output_matches_golden(fname, args, hash_seed):
+    got = make_golden.cli(["enumerate", *args], hash_seed)
+    assert got == read(os.path.join(GOLDEN, fname))
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+@pytest.mark.parametrize("fname,args", make_golden.CHECK_EQUIV)
+def test_check_equiv_output_matches_golden(fname, args, hash_seed):
+    got = make_golden.cli(["check-equiv", *args], hash_seed)
+    assert got == read(os.path.join(GOLDEN, fname))
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+@pytest.mark.parametrize("tree", make_golden.EVAL_TREES)
+def test_eval_output_matches_golden(tree, hash_seed):
+    got = make_golden.eval_report(tree, hash_seed)
+    assert got == read(os.path.join(GOLDEN, f"eval_{tree}.txt"))
+
+
 # -- the renumbering checker used before regenerating a compile golden --------
 
 TOKEN = re.compile(r"\b(\d+)\.(\d+)\b")
