@@ -47,11 +47,11 @@ from .logic import (
     Root,
     Succ,
     TrueF,
+    evaluator,
     ext_symbol,
     extend_alphabet,
     free_vars,
     mk_structure,
-    satisfies,
     split_symbol,
     structures,
 )
@@ -589,11 +589,13 @@ class EquivalenceReport:
 
 
 def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceReport:
-    """Compare satisfaction against recognizer membership, exhaustively."""
+    """Compare satisfaction against recognizer membership on every
+    structure with at most ``max_nv`` NV nodes."""
+    holds = evaluator(phi)
     checked = accepted = 0
     mismatches = []
     for t, lam, s in structures(rec.sigma, rec.variables, rec.rank, max_nv):
-        want = satisfies(t, lam, phi)
+        want = holds(t, lam)
         got = membership(rec, s)
         checked += 1
         accepted += 1 if want else 0

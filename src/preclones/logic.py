@@ -11,6 +11,12 @@ membership of the result in K.
 First-order variables denote NV nodes; variable leaves are place markers
 and are never pointed at.  The unit tree has no NV nodes, so formulas
 with free variables cannot be interpreted on it; sentences can.
+
+Satisfaction is evaluated on a node table: a tree's NV nodes in preorder,
+with children, subtree ends and variable counts as arrays, so that every
+atom is a constant-time read.  A formula is compiled once into a function
+of (node table, variable -> node index); Q_K assigns the letters in one
+preorder loop and runs K bottom-up over the arrays.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from .errors import DeterminismViolation, ParseError
 from .trees import (
     RankedAlphabet,
     RankedTree,
+    enumerate_trees,
     nv_nodes,
-    rank as tree_rank,
+    replace_at,
     subtree_at,
-    vars_left_of,
 )
 
 
@@ -150,7 +156,11 @@ def free_vars(phi) -> frozenset:
 
 
 def satisfies(t: RankedTree, lam: dict, phi) -> bool:
-    """(t, lam) |= phi, with lam mapping free variables to NV node paths."""
+    """(t, lam) |= phi, with lam mapping free variables to NV node paths.
+
+    Raises ValueError when a free variable is uninterpreted or not at an NV
+    node.  To evaluate one formula on many structures, use ``evaluator``.
+    """
     fv = free_vars(phi)
     missing = fv - set(lam)
     if missing:
@@ -159,45 +169,136 @@ def satisfies(t: RankedTree, lam: dict, phi) -> bool:
     for x in fv:
         if lam[x] not in nv:
             raise ValueError(f"{x} is not interpreted at an NV node")
-    return _sat(t, lam, phi)
+    return evaluator(phi)(t, {x: lam[x] for x in fv})
 
 
-def _sat(t, lam, phi):
+def evaluator(phi):
+    """``satisfies(t, lam, phi)`` as a function of (t, lam), without its checks.
+
+    phi is compiled once; calls in a row on one tree share its node table.
+    """
+    run, last = _compile(phi), [None, None]
+
+    def holds(t, lam):
+        if last[0] is not t:
+            last[:] = t, _Nodes(t)
+        return run(last[1], {z: last[1].index[p] for z, p in lam.items()})
+
+    return holds
+
+
+class _Nodes:
+    """A tree's NV nodes in preorder, as arrays each atom reads in O(1).
+
+    ``index`` maps each node's path to its index.  A child or the root is a
+    node index, or -j for the leaf v_j.  end[i] is one past the last node
+    of i's subtree; left[i] counts the variables left of it and
+    right[i] - 1 those up to its end.
+    """
+
+    def __init__(self, t: RankedTree):
+        self.index, self.labels, self.kids = {}, [], []
+        self.end, self.left, self.right, self.leaves = [], [], [], []
+        self.root = self._add(t, ())
+
+    def _add(self, s, path):
+        if s.is_var():
+            self.leaves.append(s.label)
+            return -s.label
+        i = self.index[path] = len(self.labels)
+        self.labels.append(s.label)
+        self.left.append(len(self.leaves))
+        self.kids.append(None)
+        self.end.append(None)
+        self.right.append(None)
+        self.kids[i] = tuple([self._add(c, path + (n,)) for n, c in enumerate(s.children)])
+        self.end[i], self.right[i] = len(self.labels), len(self.leaves) + 1
+        return i
+
+
+def _compile(phi):
+    """phi as a function of (nodes, env), env mapping free variables to
+    node indices."""
     if isinstance(phi, TrueF):
-        return True
+        return lambda n, e: True
     if isinstance(phi, FalseF):
-        return False
+        return lambda n, e: False
     if isinstance(phi, PSym):
-        return subtree_at(t, lam[phi.x]).label == phi.sym
+        sym, x = phi.sym, phi.x
+        return lambda n, e: n.labels[e[x]] == sym
     if isinstance(phi, Less):
-        px, py = lam[phi.x], lam[phi.y]
-        return len(py) > len(px) and py[: len(px)] == px
+        x, y = phi.x, phi.y
+        return lambda n, e: e[x] < e[y] < n.end[e[x]]
     if isinstance(phi, Succ):
-        px, py = lam[phi.x], lam[phi.y]
-        return py == px + (phi.i - 1,)
+        i, x, y = phi.i - 1, phi.x, phi.y
+        return lambda n, e: n.kids[e[x]][i:i + 1] == (e[y],)
     if isinstance(phi, Root):
-        return lam[phi.x] == ()
+        x = phi.x
+        return lambda n, e: e[x] == 0
     if isinstance(phi, Max):
-        node = subtree_at(t, lam[phi.x])
-        if phi.i > len(node.children):
-            return False
-        child = node.children[phi.i - 1]
-        return child.is_var() and child.label == phi.j
+        i, leaf, x = phi.i - 1, (-phi.j,), phi.x
+        return lambda n, e: n.kids[e[x]][i:i + 1] == leaf
     if isinstance(phi, LeftJ):
-        return vars_left_of(t, lam[phi.x]) == phi.j
+        j, x = phi.j, phi.x
+        return lambda n, e: n.left[e[x]] == j
     if isinstance(phi, RightJ):
-        px = lam[phi.x]
-        return vars_left_of(t, px) + tree_rank(subtree_at(t, px)) + 1 == phi.j
+        j, x = phi.j, phi.x
+        return lambda n, e: n.right[e[x]] == j
     if isinstance(phi, Not):
-        return not _sat(t, lam, phi.sub)
+        sub = _compile(phi.sub)
+        return lambda n, e: not sub(n, e)
     if isinstance(phi, Or):
-        return _sat(t, lam, phi.left) or _sat(t, lam, phi.right)
+        left, right = _compile(phi.left), _compile(phi.right)
+        return lambda n, e: left(n, e) or right(n, e)
     if isinstance(phi, And):
-        return _sat(t, lam, phi.left) and _sat(t, lam, phi.right)
+        left, right = _compile(phi.left), _compile(phi.right)
+        return lambda n, e: left(n, e) and right(n, e)
     if isinstance(phi, QK):
-        bar = characteristic_tree(t, lam, phi.var, phi.lang.alphabet, phi.formulas())
-        return phi.lang.accepts(bar)
+        lang, x = phi.lang, phi.var
+        by_rank = _by_rank(lang.alphabet, phi.formulas())
+        return lambda n, e: _run(lang, n, _letters(n, e, x, by_rank)) in lang.finals
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def _by_rank(delta: RankedAlphabet, formulas):
+    """rank -> [(letter, compiled formula)], in delta's order."""
+    out = {}
+    for d, m in delta.symbols:
+        out.setdefault(m, []).append((d, _compile(formulas[d])))
+    return out
+
+
+def _letters(nodes, env, x, by_rank):
+    """Each node's letter in preorder: the one of its rank whose formula
+    holds with x there.  Raises DeterminismViolation where not one does."""
+    env, out = dict(env), []
+    for i, kids in enumerate(nodes.kids):
+        env[x] = i
+        holding = [d for d, holds in by_rank.get(len(kids), ()) if holds(nodes, env)]
+        if len(holding) != 1:
+            path = list(nodes.index)[i]
+            raise DeterminismViolation(
+                f"family is not deterministic at node {path}: {holding}",
+                node=path,
+                satisfied=holding,
+            )
+        out.append(holding[0])
+    return out
+
+
+def _run(aut: TreeAutomaton, nodes, letters) -> int:
+    """``aut.run`` of the tree relabelled by ``letters``, over the arrays."""
+    for j in nodes.leaves:
+        if not 1 <= j <= aut.rank:
+            raise ValueError(f"variable v{j} outside rank {aut.rank}")
+    # states[-j] is the state of v_j, and children follow their parent
+    states = [0] * len(letters) + list(reversed(aut.var_state))
+    try:
+        for i in reversed(range(len(letters))):
+            states[i] = aut.transitions[letters[i]][tuple(map(states.__getitem__, nodes.kids[i]))]
+    except KeyError:
+        raise ValueError(f"symbol {letters[i]!r} not in automaton alphabet") from None
+    return states[nodes.root]
 
 
 def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTree:
@@ -206,66 +307,34 @@ def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTre
     Raises DeterminismViolation unless exactly one letter of the node's
     rank applies.
     """
-    by_rank = {}
-    for name, m in delta.symbols:
-        by_rank.setdefault(m, []).append(name)
-    labels = {}
-    for path in nv_nodes(t):
-        m = len(subtree_at(t, path).children)
-        candidates = by_rank.get(m, [])
-        lam_v = dict(lam)
-        lam_v[x] = path
-        holding = [d for d in candidates if _sat(t, lam_v, formulas[d])]
-        if len(holding) != 1:
-            raise DeterminismViolation(
-                f"family is not deterministic at node {path}: {holding}",
-                node=path,
-                satisfied=holding,
-            )
-        labels[path] = holding[0]
-
-    def rebuild(s, path):
-        if s.is_var():
-            return s
-        kids = tuple(rebuild(c, path + (i,)) for i, c in enumerate(s.children))
-        return RankedTree(labels[path], kids)
-
-    return rebuild(t, ())
+    nodes = _Nodes(t)
+    env = {z: nodes.index[p] for z, p in lam.items()}
+    letters = _letters(nodes, env, x, _by_rank(delta, formulas))
+    built = [None] * len(letters)
+    for i in reversed(range(len(letters))):
+        kids = (built[c] if c > 0 else RankedTree(-c) for c in nodes.kids[i])
+        built[i] = RankedTree(letters[i], tuple(kids))
+    return built[0] if built else t
 
 
 def check_deterministic(delta: RankedAlphabet, x, family, sigma: RankedAlphabet,
                         k: int, max_nv: int):
-    """Exhaustively test determinism of a family on trees with <= max_nv nodes.
+    """Test determinism of a family on every tree with <= max_nv NV nodes.
 
     Checks, for every tree, interpretation of the other free variables and
     placement of x, that exactly one letter of the node's rank applies.
     Returns (True, None) or (False, witness) with the first violating
-    (tree, interpretation, node, holding letters).
+    (tree, interpretation, node, holding letters in name order).
     """
-    from .trees import enumerate_trees
-
     formulas = dict(family)
-    arity = delta.arity
-    others = sorted(
-        set().union(frozenset(), *(free_vars(f) for f in formulas.values())) - {x}
-    )
+    others = sorted(set().union(*(free_vars(f) for f in formulas.values())) - {x})
     for t in enumerate_trees(sigma, k, max_nv):
-        nvs = nv_nodes(t)
-        if not nvs:
-            continue
-        for assign in itertools.product(nvs, repeat=len(others)):
+        for assign in itertools.product(nv_nodes(t), repeat=len(others)):
             lam = dict(zip(others, assign))
-            for v in nvs:
-                m = len(subtree_at(t, v).children)
-                lam_v = dict(lam)
-                lam_v[x] = v
-                holding = [
-                    d
-                    for d in sorted(formulas)
-                    if arity[d] == m and _sat(t, lam_v, formulas[d])
-                ]
-                if len(holding) != 1:
-                    return False, (t, lam, v, holding)
+            try:
+                characteristic_tree(t, lam, x, delta, formulas)
+            except DeterminismViolation as exc:
+                return False, (t, lam, exc.node, sorted(exc.satisfied))
     return True, None
 
 
@@ -295,21 +364,19 @@ def extend_alphabet(sigma: RankedAlphabet, zs) -> RankedAlphabet:
 
 
 def mk_structure(t: RankedTree, lam: dict) -> RankedTree:
-    """Encode (t, lam) as a tree whose labels carry the variables sitting there."""
+    """Encode (t, lam) as a tree whose labels carry the variables sitting there.
+
+    Only those nodes are rebuilt: a sentence's structure is t itself.
+    """
     at_node = {}
     for z, path in lam.items():
         at_node.setdefault(path, []).append(z)
-
-    def walk(s, path):
+    out = t
+    for path, zs in at_node.items():
+        s = subtree_at(out, path)
         if s.is_var():
-            return s
-        kids = tuple(walk(c, path + (i,)) for i, c in enumerate(s.children))
-        return RankedTree(ext_symbol(s.label, at_node.get(path, [])), kids)
-
-    out = walk(t, ())
-    for z, path in lam.items():
-        if subtree_at(t, path).is_var():
-            raise ValueError(f"{z} must sit at an NV node")
+            raise ValueError(f"{zs[0]} must sit at an NV node")
+        out = replace_at(out, path, RankedTree(ext_symbol(s.label, zs), s.children))
     return out
 
 
@@ -340,13 +407,9 @@ def destructure(t: RankedTree, zs=None):
 
 def structures(sigma, zs, k, max_nv):
     """All (tree, lam, structure) triples with the tree's NV count bounded."""
-    from .trees import enumerate_trees
-
     zs = sorted(zs)
     for t in enumerate_trees(sigma, k, max_nv):
-        nvs = nv_nodes(t)
-        if len(zs) > 0 and not nvs:
-            continue
+        nvs = nv_nodes(t) if zs else ()
         for assign in itertools.product(nvs, repeat=len(zs)):
             lam = dict(zip(zs, assign))
             yield t, lam, mk_structure(t, lam)

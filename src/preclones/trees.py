@@ -398,14 +398,14 @@ def _trees_exact(alph, k, nv, memo):
             if nv - 1 == 0 and m > 0:
                 continue
             for ranks in compositions(k, m):
+                # child i's variables follow those of the children before it
+                offsets = tuple(itertools.accumulate(ranks, initial=0))
                 for nvs in compositions(nv - 1, m):
                     child_sets = [
-                        _trees_exact(alph, ranks[i], nvs[i], memo) for i in range(m)
+                        [shift_vars(c, off) for c in _trees_exact(alph, r, n, memo)]
+                        for r, n, off in zip(ranks, nvs, offsets)
                     ]
-                    if any(not cs for cs in child_sets):
-                        continue
-                    for kids in itertools.product(*child_sets):
-                        out.append(compose(symbol_tree(name, m), kids))
+                    out.extend(RankedTree(name, kids) for kids in itertools.product(*child_sets))
     memo[key] = out
     return out
 
@@ -414,13 +414,13 @@ def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
     """Yield every tree of rank k with at most max_nv NV nodes, exactly once.
 
     Order: by NV count, then lexicographically on the term text, so runs
-    are reproducible.
+    are reproducible.  Raises ValueError for a negative max_nv.
     """
+    if max_nv < 0:
+        raise ValueError(f"max_nv must be >= 0, got {max_nv}")
     memo = {}
     for nv in range(max_nv + 1):
-        batch = _trees_exact(alph, k, nv, memo)
-        for t in sorted(batch, key=tree_to_text):
-            yield t
+        yield from sorted(_trees_exact(alph, k, nv, memo), key=tree_to_text)
 
 
 def count_nv(t: RankedTree) -> int:

@@ -55,6 +55,17 @@ def test_check_equiv_open_formula(capsys):
     assert code == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-equiv", corp("ex01.lind"), "--max-nv", "-1"],
+    ["enumerate", "--alphabet", corp("sigma_ex.alph"), "--rank", "0", "--max-nv", "-1"],
+], ids=["check-equiv", "enumerate"])
+def test_negative_max_nv_is_an_error(argv, capsys):
+    # a bound below 0 checks nothing; it must not read as a vacuous PASS
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: max_nv must be >= 0, got -1\n"
+
+
 def test_syntactic_class_counts(capsys):
     code, out, _ = run(capsys, "syntactic", corp("k_exists0.aut"), "--trunc", "3")
     assert code == 0

@@ -1,9 +1,26 @@
+import inspect
+import itertools
+import os
+import sys
+import types
+from dataclasses import replace
+
 import pytest
 
-from preclones.automata import boolean_alphabet, k_exists
+from preclones import logic
+from preclones.automata import (
+    TreeAutomaton,
+    boolean_alphabet,
+    complement,
+    k_exists,
+    load_automaton,
+)
+from preclones.cli import load_formula_file
+from preclones.compiler import check_equivalence, compile_formula
 from preclones.errors import DeterminismViolation, ParseError
 from preclones.logic import (
     And,
+    FalseF,
     LeftJ,
     Less,
     Max,
@@ -15,11 +32,13 @@ from preclones.logic import (
     Root,
     Succ,
     TRUE,
+    TrueF,
     apply_literal_morphism,
     boolean_family,
     characteristic_tree,
     check_deterministic,
     destructure,
+    evaluator,
     exists_formula,
     ext_symbol,
     extend_alphabet,
@@ -35,11 +54,15 @@ from preclones.logic import (
 )
 from preclones.trees import (
     UNIT,
+    RankedTree,
     alphabet,
     enumerate_trees,
     nv_nodes,
     parse_tree,
+    rank,
     subtree_at,
+    tree_to_text,
+    vars_left_of,
 )
 
 SIG = alphabet("f/2", "a/0", "b/0")
@@ -556,3 +579,276 @@ def test_exists_qk_membership_equals_defined_language():
     phi = QK("K", K, "x", fam)
     for t in enumerate_trees(DBOOL, 0, 3):
         assert satisfies(t, {}, phi) == K.accepts(t)
+
+
+def test_mk_structure_of_a_sentence_is_the_tree_itself():
+    t = parse_tree("f(a,f(b,a))", SIG)
+    assert mk_structure(t, {}) is t
+    s = mk_structure(t, {"x": (1, 0), "y": (1,)})
+    assert s.children[0] is t.children[0] and s.children[1].children[1] is t.children[1].children[1]
+    assert tree_to_text(s) == "f(a,f@y(b@x,a))"
+
+
+def test_mk_structure_rejects_a_variable_leaf():
+    t = parse_tree("f(v1,a)", SIG, 1)
+    with pytest.raises(ValueError, match="y must sit at an NV node"):
+        mk_structure(t, {"x": (1,), "y": (0,)})
+
+
+def test_negative_max_nv_is_rejected():
+    rec = compile_formula(parse_formula("exists x. P[a](x)", SIG, 0), SIG, (), 0)
+    phi = parse_formula("exists x. P[a](x)", SIG, 0)
+    fam = boolean_family(PSym("a", "x"), SIG)
+    for run in (lambda: list(structures(SIG, ["x"], 0, -1)),
+                lambda: check_deterministic(DBOOL, "x", fam, SIG, 0, -1),
+                lambda: check_equivalence(phi, rec, -1)):
+        with pytest.raises(ValueError, match="max_nv"):
+            run()
+
+
+# -- the node-table evaluator against the tree walk it replaced -----------------
+#
+# The reference functions below are the tree-walking semantics: every atom
+# reads the tree through paths, and Q_K builds the characteristic tree and
+# runs K over it.
+
+
+def ref_sat(t, lam, phi):
+    if isinstance(phi, TrueF):
+        return True
+    if isinstance(phi, FalseF):
+        return False
+    if isinstance(phi, PSym):
+        return subtree_at(t, lam[phi.x]).label == phi.sym
+    if isinstance(phi, Less):
+        px, py = lam[phi.x], lam[phi.y]
+        return len(py) > len(px) and py[: len(px)] == px
+    if isinstance(phi, Succ):
+        px, py = lam[phi.x], lam[phi.y]
+        return py == px + (phi.i - 1,)
+    if isinstance(phi, Root):
+        return lam[phi.x] == ()
+    if isinstance(phi, Max):
+        node = subtree_at(t, lam[phi.x])
+        if phi.i > len(node.children):
+            return False
+        child = node.children[phi.i - 1]
+        return child.is_var() and child.label == phi.j
+    if isinstance(phi, LeftJ):
+        return vars_left_of(t, lam[phi.x]) == phi.j
+    if isinstance(phi, RightJ):
+        px = lam[phi.x]
+        return vars_left_of(t, px) + rank(subtree_at(t, px)) + 1 == phi.j
+    if isinstance(phi, Not):
+        return not ref_sat(t, lam, phi.sub)
+    if isinstance(phi, Or):
+        return ref_sat(t, lam, phi.left) or ref_sat(t, lam, phi.right)
+    if isinstance(phi, And):
+        return ref_sat(t, lam, phi.left) and ref_sat(t, lam, phi.right)
+    if isinstance(phi, QK):
+        bar = ref_characteristic_tree(t, lam, phi.var, phi.lang.alphabet, phi.formulas())
+        return phi.lang.accepts(bar)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def ref_characteristic_tree(t, lam, x, delta, formulas):
+    by_rank = {}
+    for name, m in delta.symbols:
+        by_rank.setdefault(m, []).append(name)
+    labels = {}
+    for path in nv_nodes(t):
+        m = len(subtree_at(t, path).children)
+        lam_v = dict(lam)
+        lam_v[x] = path
+        holding = [d for d in by_rank.get(m, []) if ref_sat(t, lam_v, formulas[d])]
+        if len(holding) != 1:
+            raise DeterminismViolation(
+                f"family is not deterministic at node {path}: {holding}",
+                node=path, satisfied=holding,
+            )
+        labels[path] = holding[0]
+
+    def rebuild(s, path):
+        if s.is_var():
+            return s
+        kids = tuple(rebuild(c, path + (i,)) for i, c in enumerate(s.children))
+        return RankedTree(labels[path], kids)
+
+    return rebuild(t, ())
+
+
+def ref_check_deterministic(delta, x, family, sigma, k, max_nv):
+    formulas = dict(family)
+    arity = delta.arity
+    others = sorted(set().union(*(free_vars(f) for f in formulas.values())) - {x})
+    for t in enumerate_trees(sigma, k, max_nv):
+        nvs = nv_nodes(t)
+        for assign in itertools.product(nvs, repeat=len(others)):
+            lam = dict(zip(others, assign))
+            for v in nvs:
+                m = len(subtree_at(t, v).children)
+                lam_v = dict(lam, **{x: v})
+                holding = [d for d in sorted(formulas)
+                           if arity[d] == m and ref_sat(t, lam_v, formulas[d])]
+                if len(holding) != 1:
+                    return False, (t, lam, v, holding)
+    return True, None
+
+
+def ref_mk_structure(t, lam):
+    at_node = {}
+    for z, path in lam.items():
+        at_node.setdefault(path, []).append(z)
+
+    def walk(s, path):
+        if s.is_var():
+            return s
+        kids = tuple(walk(c, path + (i,)) for i, c in enumerate(s.children))
+        return RankedTree(ext_symbol(s.label, at_node.get(path, [])), kids)
+
+    return walk(t, ())
+
+
+def ref_interpretations(sigma, zs, k, max_nv):
+    for t in enumerate_trees(sigma, k, max_nv):
+        for assign in itertools.product(nv_nodes(t), repeat=len(zs)):
+            yield t, dict(zip(zs, assign))
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+CORPUS_NAMES = tuple(f"ex{i:02d}" for i in range(1, 33))
+
+
+# every corpus language is symmetric in the children; this one is not
+LEFTMOST = "Q[leftmost] x { 1_0: P[1_0](x); 0_0: !P[1_0](x); 1_2: P[1_2](x); 0_2: !P[1_2](x) }"
+
+
+def leftmost_leaf_is_1():
+    """K over DBOOL, rank 0: the leftmost leaf is labelled 1_0."""
+    pairs = {(a, b): a for a in (0, 1) for b in (0, 1)}
+    table = {"1_0": {(): 1}, "0_0": {(): 0}, "1_2": pairs, "0_2": dict(pairs)}
+    return TreeAutomaton(DBOOL, 0, 2, (), table, frozenset({1}))
+
+
+def corpus_formula(name):
+    """(phi, sigma, k) of a corpus formula, or of LEFTMOST for "leftmost"."""
+    if name == "leftmost":
+        return parse_formula(LEFTMOST, DBOOL, 0, {"leftmost": leftmost_leaf_is_1()}), DBOOL, 0
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+    return phi, sigma, k
+
+
+def verdict(fn, *args):
+    """fn(*args), or the node, letters and message of its DeterminismViolation."""
+    try:
+        return fn(*args)
+    except DeterminismViolation as exc:
+        return ("violation", exc.node, exc.satisfied, str(exc))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("leftmost",))
+def test_evaluator_agrees_with_the_tree_walk_on_the_corpus(name):
+    phi, sigma, k = corpus_formula(name)
+    zs = sorted(free_vars(phi))
+    triples = list(structures(sigma, zs, k, 5))
+    assert [(t, lam) for t, lam, _ in triples] == list(ref_interpretations(sigma, zs, k, 5))
+    holds = evaluator(phi)
+    for t, lam, s in triples:
+        want = ref_sat(t, lam, phi)
+        assert satisfies(t, lam, phi) == want and holds(t, lam) == want, (t, lam)
+        assert s == ref_mk_structure(t, lam)
+        if isinstance(phi, QK):
+            args = (t, lam, phi.var, phi.lang.alphabet, phi.formulas())
+            assert characteristic_tree(*args) == ref_characteristic_tree(*args)
+
+
+# families that are deterministic at some nodes of some interpretations and
+# not at others: two letters or none hold
+PARTIAL_FAMILIES = (
+    "Q[kpath] x { 1_0: P[1_0](x) | z<x; 0_0: !P[1_0](x); 1_2: P[1_2](x);"
+    " 0_2: !P[1_2](x) & !root(x) }",
+    "Q[kpath] x { 1_0: P[1_0](x); 0_0: !P[1_0](x); 1_2: succ_1(x,z) | P[1_2](z);"
+    " 0_2: !succ_1(x,z) & !P[0_2](x) }",
+)
+
+
+@pytest.mark.parametrize("text", PARTIAL_FAMILIES)
+def test_violations_match_the_tree_walk(text):
+    langs = {"kpath": load_automaton(os.path.join(CORPUS, "k_path0.aut"))}
+    phi = parse_formula(text, DBOOL, 0, langs)
+    holds = evaluator(phi)
+    seen = set()
+    for t, lam in ref_interpretations(DBOOL, ["z"], 0, 4):
+        want = verdict(ref_sat, t, lam, phi)
+        seen.add(want if isinstance(want, bool) else "violation")
+        assert verdict(satisfies, t, lam, phi) == want, (t, lam)
+        assert verdict(holds, t, lam) == want, (t, lam)
+        args = (t, lam, phi.var, phi.lang.alphabet, phi.formulas())
+        assert verdict(characteristic_tree, *args) == verdict(ref_characteristic_tree, *args)
+    assert seen == {True, False, "violation"}
+    for max_nv in range(5):
+        args = (DBOOL, phi.var, phi.family, DBOOL, 0, max_nv)
+        assert check_deterministic(*args) == ref_check_deterministic(*args)
+
+
+def test_unit_tree_reads_the_first_variable_state():
+    phi = parse_formula("exists x. P[a](x)", SIG, 1)
+    verdicts = set()
+    for lang in (phi.lang, complement(phi.lang)):
+        psi = replace(phi, lang=lang)
+        want = lang.var_state[0] in lang.finals
+        assert satisfies(UNIT, {}, psi) == ref_sat(UNIT, {}, psi) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    with pytest.raises(ValueError, match="variable v1 outside rank 0"):
+        satisfies(UNIT, {}, parse_formula("exists x. P[a](x)", SIG, 0))
+
+
+# Each mutation is one defect the node table could have; the oracle run
+# over the corpus must catch every one.
+MUTATIONS = {
+    "less_or_equal": ("e[x] < e[y] < n.end[e[x]]", "e[x] <= e[y] < n.end[e[x]]"),
+    "succ_off_by_one": ("i, x, y = phi.i - 1, phi.x, phi.y",
+                        "i, x, y = phi.i, phi.x, phi.y"),
+    "right_without_plus_one": ("len(self.leaves) + 1", "len(self.leaves)"),
+    "qk_children_reversed": ("map(states.__getitem__, nodes.kids[i])",
+                             "map(states.__getitem__, nodes.kids[i][::-1])"),
+}
+FORMULA_CLASSES = ("PSym", "Less", "Succ", "Root", "Max", "LeftJ", "RightJ",
+                   "TrueF", "FalseF", "Not", "Or", "And", "QK")
+
+
+def mutant_logic(monkeypatch, old, new):
+    """A copy of preclones.logic with ``old`` replaced by ``new``, evaluating
+    the real module's formula classes."""
+    source = inspect.getsource(logic)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType("preclones.logic_mutant")
+    mutant.__package__ = "preclones"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(old, new), logic.__file__, "exec"), vars(mutant))
+    for cls in FORMULA_CLASSES:
+        setattr(mutant, cls, getattr(logic, cls))
+    return mutant
+
+
+def first_disagreement(make_evaluator, max_nv=4):
+    for name in CORPUS_NAMES + ("leftmost",):
+        phi, sigma, k = corpus_formula(name)
+        holds = make_evaluator(phi)
+        for t, lam in ref_interpretations(sigma, sorted(free_vars(phi)), k, max_nv):
+            if holds(t, lam) != ref_sat(t, lam, phi):
+                return name, t, lam
+    return None
+
+
+def test_unmutated_copy_agrees(monkeypatch):
+    # the mutation harness itself: an unchanged copy finds nothing
+    old = MUTATIONS["less_or_equal"][0]
+    assert first_disagreement(mutant_logic(monkeypatch, old, old).evaluator, 3) is None
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutated_evaluator_is_caught(mutation, monkeypatch):
+    mutant = mutant_logic(monkeypatch, *MUTATIONS[mutation])
+    assert first_disagreement(mutant.evaluator) is not None

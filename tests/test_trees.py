@@ -7,6 +7,7 @@ from preclones.trees import (
     UNIT,
     alphabet,
     compose,
+    compositions,
     count_nv,
     enumerate_trees,
     factor_at,
@@ -174,6 +175,43 @@ def test_enumerate_matches_brute_force_count():
     for k in (0, 1, 2):
         want = sum(count(k, j) for j in range(5))
         assert len(list(enumerate_trees(SIG, k, 4))) == want
+
+
+def reference_enumerate_trees(alph, k, max_nv):
+    """The enumeration that composes every tree from its root letter."""
+    memo = {}
+
+    def exact(k, nv):
+        if (k, nv) not in memo:
+            out = [UNIT] if nv == 0 and k == 1 else []
+            for name, m in alph.symbols if nv > 0 else ():
+                if nv == 1 and m > 0:
+                    continue
+                for ranks in compositions(k, m):
+                    for nvs in compositions(nv - 1, m):
+                        child_sets = [exact(ranks[i], nvs[i]) for i in range(m)]
+                        for kids in itertools.product(*child_sets):
+                            out.append(compose(symbol_tree(name, m), kids))
+            memo[k, nv] = out
+        return memo[k, nv]
+
+    for nv in range(max_nv + 1):
+        yield from sorted(exact(k, nv), key=tree_to_text)
+
+
+DBOOL = alphabet("1_0/0", "0_0/0", "1_2/2", "0_2/2")
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+@pytest.mark.parametrize("alph", (SIG, DBOOL), ids=("sigma_ex", "dbool"))
+def test_enumerate_matches_the_composing_reference(alph, k):
+    assert list(enumerate_trees(alph, k, 6)) == list(reference_enumerate_trees(alph, k, 6))
+
+
+def test_enumerate_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="max_nv must be >= 0, got -1"):
+        list(enumerate_trees(SIG, 0, -1))
+    assert list(enumerate_trees(SIG, 0, 0)) == []
 
 
 def test_unit_axioms_exhaustive():
