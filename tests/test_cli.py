@@ -57,7 +57,8 @@ def test_check_equiv_open_formula(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check-equiv", corp("ex01.lind"), "--max-nv", "-1"],
-    ["enumerate", "--alphabet", corp("sigma_ex.alph"), "--rank", "0", "--max-nv", "-1"],
+    ["enumerate", "--alphabet", corp("sigma_ex.alph"), "--rank", "0",
+     "--max-nv", "-1"],
 ], ids=["check-equiv", "enumerate"])
 def test_negative_max_nv_is_an_error(argv, capsys):
     # a bound below 0 checks nothing; it must not read as a vacuous PASS

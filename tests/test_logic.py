@@ -585,7 +585,8 @@ def test_mk_structure_of_a_sentence_is_the_tree_itself():
     t = parse_tree("f(a,f(b,a))", SIG)
     assert mk_structure(t, {}) is t
     s = mk_structure(t, {"x": (1, 0), "y": (1,)})
-    assert s.children[0] is t.children[0] and s.children[1].children[1] is t.children[1].children[1]
+    assert s.children[0] is t.children[0]
+    assert s.children[1].children[1] is t.children[1].children[1]
     assert tree_to_text(s) == "f(a,f@y(b@x,a))"
 
 
@@ -596,8 +597,8 @@ def test_mk_structure_rejects_a_variable_leaf():
 
 
 def test_negative_max_nv_is_rejected():
-    rec = compile_formula(parse_formula("exists x. P[a](x)", SIG, 0), SIG, (), 0)
     phi = parse_formula("exists x. P[a](x)", SIG, 0)
+    rec = compile_formula(phi, SIG, (), 0)
     fam = boolean_family(PSym("a", "x"), SIG)
     for run in (lambda: list(structures(SIG, ["x"], 0, -1)),
                 lambda: check_deterministic(DBOOL, "x", fam, SIG, 0, -1),
