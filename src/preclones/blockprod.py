@@ -30,8 +30,7 @@ from .preclone import (
     FinitaryPreclone,
     Morphism,
     PgPair,
-    close_for_evaluation,
-    close_under_composition,
+    generated,
 )
 from .syntactic import Context, enumerate_contexts, stack_contexts
 from .trees import RankedTree, factor_at, rank as tree_rank
@@ -191,16 +190,8 @@ class BlockProduct:
 
         pre = FinitaryPreclone(self.trunc, compose_raw, describe)
         pre.set_unit(pre.intern(1, self.unit_key()))
-        gens = []
-        for key in generators:
-            el = pre.intern(self.rank_of(key), key)
-            if el not in gens:
-                gens.append(el)
-        if eval_cap is None:
-            close_under_composition(pre, budget)
-        else:
-            close_for_evaluation(pre, eval_cap, budget)
-        return PgPair(pre, gens)
+        letters = ((key, self.rank_of(key), key) for key in generators)
+        return generated(pre, letters, eval_cap, budget)[0]
 
 
 def second_projection(carrier: FinitaryPreclone):
@@ -212,37 +203,31 @@ def second_projection(carrier: FinitaryPreclone):
     return project
 
 
-def block_product_pg(pgS: PgPair, pgT: PgPair, k: int, generators="all",
-                     trunc=None, budget=DEFAULT_BUDGET):
-    """Block product of pg-pairs: closure of the chosen generators.
+def block_product_pg(pgS: PgPair, pgT: PgPair, k: int, trunc=None,
+                     budget=DEFAULT_BUDGET):
+    """Block product of pg-pairs: closure of the full generating set.
 
-    With ``generators="all"`` the generating set is every (F, b) with b a
-    T-generator of rank n and F valued in the rank-n S-generators; a list
-    of block element keys selects a subset instead (the compiler always
-    passes the explicit images of its extended alphabet).
+    The generators are every (F, b) with b a T-generator of rank n and F
+    valued in the rank-n S-generators.
     Returns (BlockProduct, PgPair of the carrier).
     """
     bp = BlockProduct(pgS.preclone, pgT.preclone, k, trunc)
-    if generators == "all":
-        gen_keys = []
-        for n in range(bp.trunc + 1):
-            a_n = pgS.generators_of_rank(n)
-            b_n = pgT.generators_of_rank(n)
-            if not b_n:
-                continue
-            n_ctx = bp.n_contexts(n)
-            count = len(a_n) ** n_ctx * len(b_n)
-            if count > budget:
-                raise BudgetExceeded(
-                    f"{count} generators at rank {n} exceed budget {budget}"
-                )
-            for b in b_n:
-                for F in itertools.product(a_n, repeat=n_ctx):
-                    gen_keys.append((F, b))
-    else:
-        gen_keys = list(generators)
-    carrier = bp.carrier_pgpair(gen_keys, budget)
-    return bp, carrier
+    gen_keys = []
+    for n in range(bp.trunc + 1):
+        a_n = pgS.generators_of_rank(n)
+        b_n = pgT.generators_of_rank(n)
+        if not b_n:
+            continue
+        n_ctx = bp.n_contexts(n)
+        count = len(a_n) ** n_ctx * len(b_n)
+        if count > budget:
+            raise BudgetExceeded(
+                f"{count} generators at rank {n} exceed budget {budget}"
+            )
+        for b in b_n:
+            for F in itertools.product(a_n, repeat=n_ctx):
+                gen_keys.append((F, b))
+    return bp, bp.carrier_pgpair(gen_keys, budget)
 
 
 def generator_count(pgS: PgPair, pgT: PgPair, bp: BlockProduct, n: int) -> int:

@@ -6,9 +6,10 @@ accepting set inside the valid part; disjunction and conjunction tuple
 recognizers into direct products; a quantifier Q_K combines the syntactic
 pg-pair of K with a pg-pair recognizing all family languages at once,
 through the block product.  The simultaneous recognizer is obtained from
-the product of the recursively compiled automata, minimized and then
-quotiented by the joint syntactic congruence of its accepting and
-validity subsets, which keeps context tables small.
+the product of its family's automata, one component per family letter,
+minimized and then quotiented by the joint syntactic congruence of its
+accepting and validity subsets, which keeps context tables small.  Every
+carrier is a generated pg-pair built by ``preclone.generated``.
 
 A recognizer's membership test is morphism evaluation into the carrier
 followed by an accepting-set lookup; it is meaningful on structures (each
@@ -51,7 +52,6 @@ from .logic import (
     ext_symbol,
     extend_alphabet,
     free_vars,
-    mk_structure,
     split_symbol,
     structures,
 )
@@ -60,7 +60,6 @@ from .preclone import (
     Morphism,
     PgPair,
     accepting_elements,
-    apply_transformation,
     direct_product,
     sub_pgpair_generated,
     target_tupling,
@@ -100,16 +99,22 @@ def membership(rec: CompiledRecognizer, structure: RankedTree) -> bool:
     return rec.gamma.eval(structure) in rec.accepting
 
 
-def membership_interp(rec: CompiledRecognizer, t: RankedTree, lam: dict) -> bool:
-    return membership(rec, mk_structure(t, lam))
-
-
 # ---------------------------------------------------------------------------
 # atomic automata
 
 
 def _counts_add(counts, extra):
     return tuple(min(2, c + e) for c, e in zip(counts, extra))
+
+
+def _letters(ext: RankedAlphabet, variables) -> dict:
+    """name -> (base, zs, occurrence vector over ``variables``) for each
+    letter of the extended alphabet, which is Sigma_W for W = variables."""
+    table = {}
+    for name, _ in ext.symbols:
+        base, zs = split_symbol(name)
+        table[name] = (base, zs, tuple(int(v in zs) for v in variables))
+    return table
 
 
 def _atom_automaton(phi, sigma: RankedAlphabet, variables, k: int) -> tuple:
@@ -125,13 +130,7 @@ def _atom_automaton(phi, sigma: RankedAlphabet, variables, k: int) -> tuple:
     ext = extend_alphabet(sigma, variables)
     zeros = (0,) * len(variables)
     ones = (1,) * len(variables)
-    letters = {}
-    for name, _ in ext.symbols:
-        base, zs = split_symbol(name)
-        extra = [0] * len(variables)
-        for z in zs:
-            extra[vpos[z]] = 1
-        letters[name] = (base, zs, tuple(extra))
+    letters = _letters(ext, variables)
 
     # state: ("var", j) for a v_j leaf, else ("nv", counts, payload)
     def node_state(name, child_states):
@@ -282,12 +281,10 @@ def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
         )
     prod = direct_product([r1.pgpair.preclone, r2.pgpair.preclone])
     tupled = target_tupling([r1.gamma, r2.gamma], prod)
-    images = [tupled.image[name] for name, _ in r1.ext_alphabet.symbols]
-    sub = sub_pgpair_generated(prod, images, budget=budget, eval_cap=r1.rank)
+    sub = sub_pgpair_generated(prod, list(tupled.image.values()), budget=budget,
+                               eval_cap=r1.rank)
     carrier = sub.preclone
-    image = {}
-    for name, _ in r1.ext_alphabet.symbols:
-        image[name] = carrier.lookup(tupled.image[name][0], tupled.image[name])
+    image = {name: carrier.lookup(el[0], el) for name, el in tupled.image.items()}
     gamma = Morphism(r1.ext_alphabet, carrier, image)
     k = r1.rank
     valid = frozenset(
@@ -322,25 +319,20 @@ def _negate(rec: CompiledRecognizer) -> CompiledRecognizer:
 # the quantifier case
 
 
-def _image_closure(T, tau: Morphism, ext, k, variables, x):
+def _image_closure(T, tau: Morphism, ext, k, W, x):
     """Images of rank-k trees, annotated with counts and x's node rank.
 
     Explores the tree algebra bottom-up, grading a state by its element's
     rank and capping at k: every (element, counts, xrank) that a real tree
-    of rank <= k over the extended alphabet produces is reached, exactly.
-    Returns the set of (element, counts, xrank) of rank k, with xrank None
-    when x does not occur (or occurs twice, in which case counts saturate).
+    of rank <= k over Sigma_W produces is reached, exactly.  Returns the
+    set of (element, counts, xrank) of rank k, with xrank None when x does
+    not occur (or occurs twice, in which case counts saturate).
     """
-    allv = tuple(sorted(set(variables) | {x}))
-    vpos = {v: i for i, v in enumerate(allv)}
-    zeros = (0,) * len(allv)
-    letters = {}
-    for name, m in ext.symbols:
-        _, zs = split_symbol(name)
-        extra = [0] * len(allv)
-        for z in zs:
-            extra[vpos[z]] = 1
-        letters[name] = (tau.image[name], tuple(extra), m if x in zs else None)
+    zeros = (0,) * len(W)
+    letters = {
+        name: (tau.image[name], extra, ext.arity[name] if x in zs else None)
+        for name, (_, zs, extra) in _letters(ext, W).items()
+    }
 
     def step(name, combo):
         img, extra, xrank = letters[name]
@@ -378,32 +370,15 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
     kappa = syn.morphism.image
     alpha_K = syn.accepting
 
-    # the family side: compile each formula over W; recognizers that share
-    # transition tables (a formula and its negation) become one component
-    recs = {}
-    for d, sub in phi.family:
-        recs[d] = self.compile(sub, W, budget)
+    # the family side: compile each formula over W and take the product of
+    # their automata; a formula and its negation share one transition
+    # table, so their part of the reachable product is the diagonal
+    recs = {d: self.compile(sub, W, budget) for d, sub in phi.family}
     order = sorted(recs)
-    comp_key = lambda a: (id(a.transitions), a.n_states, a.var_state)
-    distinct = []
-    comp_of = {}
-    for d in order:
-        key = comp_key(recs[d].automaton)
-        for i, a in enumerate(distinct):
-            if comp_key(a) == key:
-                comp_of[d] = i
-                break
-        else:
-            comp_of[d] = len(distinct)
-            distinct.append(recs[d].automaton)
-    joint, tuples = product(distinct)
+    joint, tuples = product([recs[d].automaton for d in order])
     finals_in = [
-        frozenset(
-            i
-            for i, s in enumerate(tuples)
-            if s[comp_of[d]] in recs[d].automaton.finals
-        )
-        for d in order
+        frozenset(i for i, s in enumerate(tuples) if s[j] in recs[d].automaton.finals)
+        for j, d in enumerate(order)
     ]
     joint, finals_out = minimize(joint, finals_in)
     F_delta = dict(zip(order, finals_out))
@@ -414,19 +389,12 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
     res_T = transformation_pgpair(joint, trunc_T, budget=budget)
     T0 = res_T.pgpair.preclone
     tau0 = res_T.morphism
-    P0 = {
-        d: frozenset(
-            el
-            for el in T0.sort(k)
-            if apply_transformation(T0, el, joint.var_state) in F_delta[d]
-        )
-        for d in order
-    }
+    P0 = {d: frozenset(accepting_elements(res_T, F_delta[d])) for d in order}
 
     # exact image sets and the determinism check
-    images = _image_closure(T0, tau0, ext_W, k, Y, x)
+    images = _image_closure(T0, tau0, ext_W, k, W, x)
     ones = (1,) * len(W)
-    y_only = tuple(0 if v == x else 1 for v in sorted(W))
+    y_only = tuple(0 if v == x else 1 for v in W)
     valid_Wx = set()
     valid_Y = set()
     arity_delta = {n: sorted(delta.by_arity(n)) for n in delta.arities()}
@@ -472,14 +440,9 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
 
         gen_keys[name] = bp.make(f_value, tau.image[name])
 
-    carrier_pg = bp.carrier_pgpair(
-        [gen_keys[name] for name, _ in ext_Y.symbols], budget, eval_cap=k
-    )
+    carrier_pg = bp.carrier_pgpair(list(gen_keys.values()), budget, eval_cap=k)
     carrier = carrier_pg.preclone
-    image = {
-        name: carrier.lookup(ext_Y.arity[name], gen_keys[name])
-        for name, _ in ext_Y.symbols
-    }
+    image = {name: carrier.lookup(bp.rank_of(key), key) for name, key in gen_keys.items()}
     gamma = Morphism(ext_Y, carrier, image)
 
     D0 = Context(T.unit, 0, (T.unit,) * k, 0)
@@ -596,7 +559,7 @@ def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceR
     mismatches = []
     for t, lam, s in structures(rec.sigma, rec.variables, rec.rank, max_nv):
         want = holds(t, lam)
-        got = membership(rec, s)
+        got = rec.gamma.eval(s) in rec.accepting  # s has rank k by construction
         checked += 1
         accepted += 1 if want else 0
         if want != got:

@@ -380,31 +380,6 @@ def mk_structure(t: RankedTree, lam: dict) -> RankedTree:
     return out
 
 
-def destructure(t: RankedTree, zs=None):
-    """Decode a structure into (base tree, interpretation).
-
-    With ``zs`` given, checks that each of those variables occurs exactly
-    once.
-    """
-    lam = {}
-
-    def walk(s, path):
-        if s.is_var():
-            return s
-        base, here = split_symbol(s.label)
-        for z in here:
-            if z in lam:
-                raise ValueError(f"variable {z} occurs twice")
-            lam[z] = path
-        kids = tuple(walk(c, path + (i,)) for i, c in enumerate(s.children))
-        return RankedTree(base, kids)
-
-    base_tree = walk(t, ())
-    if zs is not None and set(lam) != set(zs):
-        raise ValueError(f"structure carries {sorted(lam)}, expected {sorted(zs)}")
-    return base_tree, lam
-
-
 def structures(sigma, zs, k, max_nv):
     """All (tree, lam, structure) triples with the tree's NV count bounded."""
     zs = sorted(zs)

@@ -140,7 +140,7 @@ class FinitaryPreclone:
 
 
 def close_under_composition(pre: FinitaryPreclone, budget=DEFAULT_BUDGET):
-    """Close the interned sorts under every composition within the truncation."""
+    """The full closure, kept by name; the library closes through ``generated``."""
     return close_for_evaluation(pre, pre.trunc, budget)
 
 
@@ -170,6 +170,21 @@ def close_for_evaluation(pre: FinitaryPreclone, cap, budget=DEFAULT_BUDGET):
 
     explore(letters, [pre.unit], step, grade=lambda el: el[0], cap=cap)
     return pre
+
+
+def generated(pre: FinitaryPreclone, letters, cap=None, budget=DEFAULT_BUDGET):
+    """The pg-pair that ``letters`` generate in ``pre``, closed up to ``cap``.
+
+    ``pre`` holds only its unit; ``letters`` yields (name, rank, key).
+    Each key is interned in the order given, so element numbering follows
+    the letters, and the sorts are then closed for evaluation up to
+    ``cap`` (the truncation when None).  Returns the PgPair, its
+    generators deduplicated in first-seen order, and the map name ->
+    element.
+    """
+    image = {name: pre.intern(rank, key) for name, rank, key in letters}
+    close_for_evaluation(pre, pre.trunc if cap is None else cap, budget)
+    return PgPair(pre, list(dict.fromkeys(image.values()))), image
 
 
 @dataclass
@@ -284,22 +299,14 @@ def transformation_pgpair(automaton, trunc, budget=DEFAULT_BUDGET,
     if trunc < automaton.alphabet.max_arity:
         raise RankOverflow("truncation below the maximal symbol arity")
     n = automaton.n_states
-    pre = _new_transformation_preclone(n, trunc)
-    image = {}
-    gens = []
-    for name, m in automaton.alphabet.symbols:
-        table = automaton.transitions[name]
-        key = transformation_key(n, m, lambda combo, t=table: t[combo])
-        el = pre.intern(m, key)
-        image[name] = el
-        if el not in gens:
-            gens.append(el)
-    if eval_cap is None:
-        close_under_composition(pre, budget)
-    else:
-        close_for_evaluation(pre, eval_cap, budget)
-    morphism = Morphism(automaton.alphabet, pre, image)
-    return TransformationResult(PgPair(pre, gens), morphism, automaton)
+    letters = (
+        (name, m, transformation_key(n, m, automaton.transitions[name].__getitem__))
+        for name, m in automaton.alphabet.symbols
+    )
+    pg, image = generated(_new_transformation_preclone(n, trunc), letters,
+                          eval_cap, budget)
+    morphism = Morphism(automaton.alphabet, pg.preclone, image)
+    return TransformationResult(pg, morphism, automaton)
 
 
 def accepting_elements(res: TransformationResult, finals=None):
@@ -425,19 +432,10 @@ def sub_pgpair_generated(S: FinitaryPreclone, gens, budget=DEFAULT_BUDGET,
 
     pre = FinitaryPreclone(S.trunc, compose_raw, describe)
     pre.set_unit(pre.intern(1, S.unit))
-    sub_gens = []
-    for g in gens:
-        el = pre.intern(g[0], g)
-        if el not in sub_gens:
-            sub_gens.append(el)
-    if eval_cap is None:
-        close_under_composition(pre, budget)
-    else:
-        close_for_evaluation(pre, eval_cap, budget)
-    return PgPair(pre, sub_gens)
+    return generated(pre, ((g, g[0], g) for g in gens), eval_cap, budget)[0]
 
 
-def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True, budget=None):
+def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True):
     """Quotient by a per-rank partition; returns (Q, projection dict).
 
     ``blocks_by_rank[n]`` lists the blocks (lists of element handles) of
@@ -461,7 +459,6 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True, budget=None):
 
     if verify:
         sig = {}
-        count = 0
         for f, gs in S.iter_compositions():
             key = (proj[f], tuple(proj[g] for g in gs))
             got = proj[S.compose(f, gs)]
@@ -473,9 +470,6 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True, budget=None):
                     "composition does not respect the partition",
                     witness=(f, gs),
                 )
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetExceeded("congruence verification budget exceeded")
 
     reps = [dict() for _ in range(S.trunc + 1)]
     for el, cls in proj.items():
@@ -495,14 +489,6 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True, budget=None):
             Q.intern(n, b)
     Q.set_unit((1, proj[S.unit][1]))
     return Q, proj
-
-
-def identity_partition(S: FinitaryPreclone):
-    return [[[el] for el in S.sort(n)] for n in range(S.trunc + 1)]
-
-
-def total_partition(S: FinitaryPreclone):
-    return [[S.sort(n)] if S.sort_size(n) else [] for n in range(S.trunc + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,7 @@ def syntactic_pgpair(automaton, trunc, budget=None, verify=True) -> SyntacticRes
     Q, proj = quotient(S, blocks, verify=verify)
     image = {name: proj[el] for name, el in res.morphism.image.items()}
     morphism = Morphism(automaton.alphabet, Q, image)
-    gens = []
-    for name, _ in automaton.alphabet.symbols:
-        if image[name] not in gens:
-            gens.append(image[name])
+    gens = list(dict.fromkeys(image.values()))
     return SyntacticResult(PgPair(Q, gens), morphism, {proj[e] for e in P}, proj)
 
 

@@ -11,7 +11,6 @@ from preclones.compiler import (
     compile_atomic,
     compile_formula,
     membership,
-    membership_interp,
 )
 from preclones.errors import DeterminismViolation
 from preclones.logic import (
@@ -30,12 +29,13 @@ from preclones.logic import (
     TRUE,
     boolean_family,
     free_vars,
+    mk_structure,
     parse_formula,
     satisfies,
     structures,
     tilde_substitute,
 )
-from preclones.trees import UNIT, alphabet, enumerate_trees
+from preclones.trees import UNIT, alphabet, enumerate_trees, rank as tree_rank
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
@@ -243,6 +243,11 @@ def test_flattening_equivalence():
         assert satisfies(t, {}, phi_flat) == want
 
 
+def membership_interp(rec, t, lam):
+    """Membership of the structure that the tree t and interpretation lam encode."""
+    return membership(rec, mk_structure(t, lam))
+
+
 def test_membership_interp_matches_structure_path():
     phi = parse_formula("P[1_2](z) & exists x. succ_1(z,x)", DBOOL, 0)
     rec = compile_formula(phi, DBOOL, ("z",), 0)
@@ -275,6 +280,28 @@ def test_compiler_cache_shares_equal_sugared_quantifiers():
     assert sum(isinstance(f, QK) for f, _ in comp._cache) == 1
 
 
+def test_check_equivalence_skips_the_rank_walk(monkeypatch):
+    # structures() yields rank-k trees by construction, so the harness
+    # tests gamma directly; a direct membership call keeps its rank check
+    import preclones.compiler as compiler
+
+    phi = parse_formula("exists x. P[1_0](x)", DBOOL, 0)
+    rec = compile_formula(phi, DBOOL, (), 0)
+    walked = []
+
+    def counting_rank(t):
+        walked.append(t)
+        return tree_rank(t)
+
+    monkeypatch.setattr(compiler, "tree_rank", counting_rank)
+    rep = check_equivalence(phi, rec, 3)
+    assert rep.ok and rep.checked > 0
+    assert walked == []
+    with pytest.raises(ValueError):
+        membership(rec, UNIT)
+    assert walked and all(t is UNIT for t in walked)
+
+
 def test_rank_mismatch_rejected():
     phi = parse_formula("exists x. P[1_0](x)", DBOOL, 0)
     rec = compile_formula(phi, DBOOL, (), 0)
@@ -288,7 +315,7 @@ def test_joint_context_partition_is_a_congruence(k):
     # verification pass; replay the pipeline here with verification on
     from preclones.automata import minimize, product
     from preclones.preclone import (
-        apply_transformation,
+        accepting_elements,
         quotient,
         transformation_pgpair,
     )
@@ -298,21 +325,17 @@ def test_joint_context_partition_is_a_congruence(k):
     comp = Compiler(DBOOL, k)
     recs = {d: comp.compile(sub, (phi.var,)) for d, sub in phi.family}
     order = sorted(recs)
-    distinct = [recs[order[0]].automaton]
-    joint, tuples = product(distinct)
+    joint, tuples = product([recs[d].automaton for d in order])
+    # the family is P[1_0](x) and its negation, which share one transition
+    # table: the reachable product is the diagonal
+    assert all(len(set(s)) == 1 for s in tuples)
     finals_in = [
-        frozenset(i for i, s in enumerate(tuples) if s[0] in recs[d].automaton.finals)
-        for d in order
+        frozenset(i for i, s in enumerate(tuples) if s[j] in recs[d].automaton.finals)
+        for j, d in enumerate(order)
     ]
     joint, finals_out = minimize(joint, finals_in)
     res = transformation_pgpair(joint, max(k + 1, DBOOL.max_arity))
+    sets = [frozenset(accepting_elements(res, F)) for F in finals_out]
     T0 = res.pgpair.preclone
-    sets = [
-        frozenset(
-            el for el in T0.sort(k)
-            if apply_transformation(T0, el, joint.var_state) in F
-        )
-        for F in finals_out
-    ]
     blocks = syntactic_congruence(T0, k, sets[0], extra_sets=sets[1:])
     quotient(T0, blocks, verify=True)  # raises NotACongruence on failure

@@ -37,7 +37,6 @@ from preclones.logic import (
     boolean_family,
     characteristic_tree,
     check_deterministic,
-    destructure,
     evaluator,
     exists_formula,
     ext_symbol,
@@ -67,6 +66,31 @@ from preclones.trees import (
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
+
+
+def destructure(t: RankedTree, zs=None):
+    """Decode a structure into (base tree, interpretation).
+
+    With ``zs`` given, checks that each of those variables occurs exactly
+    once.
+    """
+    lam = {}
+
+    def walk(s, path):
+        if s.is_var():
+            return s
+        base, here = split_symbol(s.label)
+        for z in here:
+            if z in lam:
+                raise ValueError(f"variable {z} occurs twice")
+            lam[z] = path
+        kids = tuple(walk(c, path + (i,)) for i, c in enumerate(s.children))
+        return RankedTree(base, kids)
+
+    base_tree = walk(t, ())
+    if zs is not None and set(lam) != set(zs):
+        raise ValueError(f"structure carries {sorted(lam)}, expected {sorted(zs)}")
+    return base_tree, lam
 
 
 def count_ones(t):

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from preclones import automata, blockprod, preclone
+from preclones import automata, preclone
 from preclones.automata import (
     boolean_alphabet,
     k_exists,
@@ -26,14 +26,12 @@ from preclones.preclone import (
     direct_product,
     dump_preclone,
     el_token,
-    identity_partition,
     load_preclone,
     quotient,
     sub_pgpair_generated,
     t_exists,
     t_mod,
     target_tupling,
-    total_partition,
     transformation_pgpair,
 )
 from preclones.trees import UNIT, alphabet, enumerate_trees, parse_tree
@@ -274,6 +272,54 @@ def test_target_tupling_is_morphism():
         assert P.key(got) == (res1.morphism.eval(t), res2.morphism.eval(t))
 
 
+def fresh_transformation_preclone(automaton):
+    """A trunc-2 transformation preclone holding only its unit."""
+    return preclone._new_transformation_preclone(automaton.n_states, 2)
+
+
+def transformation_letters(automaton, names):
+    n = automaton.n_states
+    arity = automaton.alphabet.arity
+    return [
+        (name, arity[name], preclone.transformation_key(
+            n, arity[name], automaton.transitions[name].__getitem__))
+        for name in names
+    ]
+
+
+def test_generated_interns_in_the_order_of_its_letters():
+    a = k_mod(DBOOL, 0, 2, 1)
+    names = [name for name, _ in reversed(DBOOL.symbols)]
+    letters = transformation_letters(a, names)
+    pg, image = preclone.generated(fresh_transformation_preclone(a), letters)
+    pre = pg.preclone
+    assert list(image) == names
+    assert pg.generators == list(dict.fromkeys(image.values()))
+    for n in range(pre.trunc + 1):
+        firsts = list(dict.fromkeys(key for _, m, key in letters if m == n))
+        skip = 1 if n == 1 else 0  # the unit was interned before the letters
+        assert [pre.key(el) for el in pre.sort(n)][skip : skip + len(firsts)] == firsts
+    for name, m, key in letters:
+        assert image[name] == pre.lookup(m, key)
+
+
+def test_generated_dedupes_generators_but_maps_every_name():
+    a = k_exists(DBOOL, 0)
+    (_, m, key), = transformation_letters(a, ["1_0"])
+    pg, image = preclone.generated(
+        fresh_transformation_preclone(a), [("p", m, key), ("q", m, key)])
+    assert pg.generators == [(0, 0)]
+    assert image == {"p": (0, 0), "q": (0, 0)}
+
+
+def test_generated_cap_none_is_the_truncation():
+    for a in (k_exists(DBOOL, 0), k_mod(DBOOL, 0, 2, 1), k_path(DBOOL, 0)):
+        letters = transformation_letters(a, [name for name, _ in DBOOL.symbols])
+        full, _ = preclone.generated(fresh_transformation_preclone(a), letters)
+        at_trunc, _ = preclone.generated(fresh_transformation_preclone(a), letters, cap=2)
+        assert keys_by_rank(full.preclone) == keys_by_rank(at_trunc.preclone)
+
+
 def test_sub_generated_by_nothing():
     S = t_exists(3).preclone
     sub = sub_pgpair_generated(S, [])
@@ -293,6 +339,14 @@ def test_sub_generated_closed():
     S = sub.preclone
     for f, gs in S.iter_compositions():
         S.compose(f, gs)  # raises if the carrier were not closed
+
+
+def identity_partition(S):
+    return [[[el] for el in S.sort(n)] for n in range(S.trunc + 1)]
+
+
+def total_partition(S):
+    return [[S.sort(n)] if S.sort_size(n) else [] for n in range(S.trunc + 1)]
 
 
 def test_quotient_identity():
@@ -430,17 +484,27 @@ def reference_close_for_evaluation(pre, cap, budget=DEFAULT_BUDGET):
             return pre
 
 
+def reference_closure(pre, cap, budget=DEFAULT_BUDGET):
+    """The former routines, chosen as the callers used to choose: the full
+    closure at the truncation, the evaluation closure below it."""
+    if cap == pre.trunc:
+        return reference_close_under_composition(pre, budget)
+    return reference_close_for_evaluation(pre, cap, budget)
+
+
 def keys_by_rank(pre):
     return [{pre.key(el) for el in pre.sort(n)} for n in range(pre.trunc + 1)]
 
 
 def assert_closure_matches_references(build):
-    """build() closes a carrier; the references must reach the same keys."""
+    """build() closes a carrier; the references must reach the same keys.
+
+    Every generated pg-pair is closed by ``preclone.generated``, which
+    reads ``close_for_evaluation`` from the preclone module, so that is
+    the one name patched."""
     got = keys_by_rank(build())
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (preclone, blockprod):
-            mp.setattr(mod, "close_under_composition", reference_close_under_composition)
-            mp.setattr(mod, "close_for_evaluation", reference_close_for_evaluation)
+        mp.setattr(preclone, "close_for_evaluation", reference_closure)
         want = keys_by_rank(build())
     assert got == want
 
