@@ -3,22 +3,29 @@
 (a) the stacking laws, exhaustively over small contexts;
 (b) BlockProduct.compose against a direct per-context rewrite, and
     alpha_context_morphism and relabel against direct stacking;
-(c) a corrupted column entry is caught by each comparison of (b).
+(c) a corrupted column entry is caught by each comparison of (b);
+(d) every column that the benchmark's block-product job shapes and the
+    depth-2 corpus compiles cache equals stacking and hashing.
 """
 
 import itertools
+import os
 import random
 
 import pytest
 
+from preclones import compiler
 from preclones.automata import TreeAutomaton
 from preclones.blockprod import (
     BlockProduct,
     alpha_context_morphism,
+    eval_two_ways,
     relabel,
     restricted_block_product,
 )
+from preclones.cli import load_formula_file
 from preclones.errors import RankOverflow
+from preclones.logic import free_vars
 from preclones.preclone import Morphism, t_exists, t_mod, transformation_pgpair
 from preclones.syntactic import (
     Context,
@@ -50,6 +57,7 @@ PRECLONES = {
     "t_2": lambda: t_mod(2, 3).preclone,
     "t_left": t_left,
 }
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 MAX = 2  # sorts and widths of the contexts in the exhaustive laws
 
 
@@ -408,3 +416,102 @@ def test_corrupted_column_entry_is_caught_by_relabel(k, name):
         corrupted += 1
     assert corrupted == sum(len(col) for col in sweep.bp._columns.values()) > 0
     assert sweep.mismatches() == []
+
+
+# ---------------------------------------------------------------------------
+# (d) every cached column against stacking and hashing, after the job
+# shapes of the block-product benchmark and the depth-2 corpus compiles
+
+
+def stacking_column(bp, holes):
+    """index(c.h_1...h_r) for each context c of h_1's sort, in order,
+    by stacking every hole onto c and looking the result up."""
+    out = []
+    for c in bp.contexts[sort_of(holes[0])]:
+        for h in holes:
+            c = stack_contexts(bp.T, c, h)
+        out.append(bp.index(c))
+    return tuple(out)
+
+
+def column_mismatches(bp):
+    return [
+        holes for holes, col in bp._columns.items() if col != stacking_column(bp, holes)
+    ]
+
+
+def constant_element(bp, f):
+    return ((bp.S.sort(f[0])[0],) * bp.n_contexts(f[0]), f)
+
+
+def run_assoc_shape(bp):
+    """compose on every (f, gs) that fits the product's bound."""
+    T = bp.T
+    for n in range(bp.trunc + 1):
+        for f in T.sort(n):
+            for gs in T.iter_tuples(n, bp.trunc):
+                bp.compose(constant_element(bp, f), [constant_element(bp, g) for g in gs])
+
+
+DBOOL = alphabet("1_0/0", "0_0/0", "1_2/2", "0_2/2")
+
+
+def run_two_ways_shape(bp):
+    """eval_two_ways over DBOOL trees of ranks 0..2, at every context."""
+    gamma = {
+        name: bp.make(lambda c, m=m: bp.S.sort(m)[-1], bp.T.sort(m)[name[0] == "1"])
+        for name, m in DBOOL.symbols
+    }
+    tau = Morphism(DBOOL, bp.T, {name: g[1] for name, g in gamma.items()})
+    for n in range(3):
+        for t in enumerate_trees(DBOOL, n, 3):
+            for D in bp.contexts[n]:
+                a, b = eval_two_ways(bp, gamma, tau, t, D)
+                assert a == b
+
+
+def run_alpha_shapes(T):
+    """alpha_C for every C and rank, and alpha on composites: the restricted
+    product at k = 1, trunc 2, into the products at levels 0..2."""
+    sweep = AlphaSweep(T, 1)
+    src = sweep.src
+    for n, dst in sweep.dsts.items():
+        for C in src.bp.contexts[n]:
+            alpha = alpha_context_morphism(src, dst, C)
+            for m in range(3):
+                alpha(constant_element(src.bp, T.sort(m)[-1]))
+    run_assoc_shape(src.bp)
+    for dst in sweep.dsts.values():
+        run_assoc_shape(dst)
+    return [src.bp, *sweep.dsts.values()]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_columns_of_the_benchmark_job_shapes_match_stacking(k):
+    T = t_exists(3).preclone
+    bps = [BlockProduct(T, T, k, trunc=3), BlockProduct(T, T, k, trunc=2)]
+    run_assoc_shape(bps[0])
+    run_assoc_shape(bps[1])
+    run_two_ways_shape(bps[1])
+    if k == 1:
+        bps += run_alpha_shapes(T)
+    for bp in bps:
+        assert bp._columns
+        assert column_mismatches(bp) == []
+
+
+@pytest.mark.parametrize("name", ["ex04", "ex05", "ex19", "ex27"])
+def test_columns_of_the_depth_two_compiles_match_stacking(name, monkeypatch):
+    made = []
+
+    class Recorded(BlockProduct):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(compiler, "BlockProduct", Recorded)
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+    compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+    assert any(bp._columns for bp in made)
+    for bp in made:
+        assert column_mismatches(bp) == []
