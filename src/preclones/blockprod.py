@@ -16,13 +16,19 @@ context by stacking, C.D (``syntactic.stack_contexts``):
 
 The derived indices depend only on T-side data and the holes, so all
 three read one cache, ``BlockProduct.column``: for a path of holes, the
-index of c.h_1...h_r for every context c, kept per path.
+index of c.h_1...h_r for every context c, kept per path.  A column is
+arithmetic on the enumeration, not a hash of each stacked context: the
+enumeration lists a width's contexts in (k1, k2) blocks, each u-major over
+one list vs, and stacking sets c.h's block and v from c's alone and
+changes u by one plug, so c.h has index offset(k1', k2') + u'[1] * |vs'|
++ position(v').  Tables are read through one ``itemgetter`` per column.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceeded, RankOverflow
 from .preclone import (
@@ -32,7 +38,7 @@ from .preclone import (
     PgPair,
     generated,
 )
-from .syntactic import Context, enumerate_contexts, stack_contexts
+from .syntactic import Context, enumerate_contexts, stack_under
 from .trees import RankedTree, factor_at, rank as tree_rank
 
 
@@ -53,11 +59,15 @@ class BlockProduct:
         if S.trunc < self.trunc:
             raise RankOverflow("S must be truncated at least at the product's bound")
         self.contexts = [enumerate_contexts(T, k, n) for n in range(self.trunc + 1)]
-        self.ctx_index = [
-            {c: i for i, c in enumerate(cs)} for cs in self.contexts
-        ]
+        self.ctx_index = [{c: i for i, c in enumerate(cs)} for cs in self.contexts]
+        # per width, (k1, k2) -> (offset, {v: position}); see column
+        self._blocks = [{} for _ in self.contexts]
+        for blocks, cs in zip(self._blocks, self.contexts):
+            for i, c in enumerate(cs):
+                vs = blocks.setdefault((c.k1, c.k2), (i, {}))[1]
+                vs.setdefault(c.v, len(vs))
         self._columns = {}  # path of holes -> index column, see column
-        self._plans = {}  # (f, gs) -> the columns compose reads
+        self._plans = {}  # (f, gs) -> a gather per table compose reads
 
     # -- element helpers -----------------------------------------------------
 
@@ -102,18 +112,35 @@ class BlockProduct:
     def column(self, *holes):
         """Index of c.h_1...h_r for each context c of h_1's sort, in order.
 
+        Each (k1, k2, v) of the source enumeration walks the holes once
+        through ``stack_under``, folding their plugs into one element y by
+        T's associativity; each u of the block then costs the one plug
+        u . (k1 units + y + k2 units), whose handle is the u-major row.
+
         A path is cached as a whole rather than composed from single-hole
         columns: an intermediate c.h_1...h_j may be wider than ``trunc``
         and so have no index (compose's c.A_i has width n-1+w_i).
         """
         col = self._columns.get(holes)
         if col is None:
-            first = holes[0]
+            T, first = self.T, holes[0]
             col = []
-            for c in self.contexts[first.k1 + sum(x[0] for x in first.v) + first.k2]:
-                for h in holes:
-                    c = stack_contexts(self.T, c, h)
-                col.append(self.index(c))
+            width = first.k1 + sum(x[0] for x in first.v) + first.k2
+            for (k1, k2), (_, vs) in self._blocks[width].items():
+                rows = []
+                for v in vs:
+                    y, j1, w, j2 = stack_under(T, v, first)
+                    for h in holes[1:]:
+                        x, i1, w, i2 = stack_under(T, w, h)
+                        y, j1, j2 = T.plug(y, j1, x, j2), j1 + i1, i2 + j2
+                    try:
+                        offset, ws = self._blocks[len(w)][k1 + j1, j2 + k2]
+                        at = offset + ws[w]
+                    except (IndexError, KeyError):
+                        raise RankOverflow(f"derived context missing at rank {len(w)}") from None
+                    rows.append(((T.unit,) * k1 + (y,) + (T.unit,) * k2, at, len(ws)))
+                for u in T.sort(k1 + 1 + k2):
+                    col.extend(at + T.compose(u, args)[1] * size for args, at, size in rows)
             col = self._columns[holes] = tuple(col)
         return col
 
@@ -138,13 +165,10 @@ class BlockProduct:
         fg = self.T.compose(f, gs)
         plan = self._plans.get((f, gs))
         if plan is None:
-            plan = self._plans[(f, gs)] = self._compose_plan(f, gs)
-        Gs = [G for G, _ in ggs]
-        Q = tuple(
-            self.S.compose(F[o], [G[j] for G, j in zip(Gs, js)])
-            for o, *js in zip(*plan)
-        )
-        return (Q, fg)
+            plan = self._plans[(f, gs)] = tuple(map(_gather, self._compose_plan(f, gs)))
+        args = [get(G) for get, (G, _) in zip(plan[1:], ggs)]
+        rows = zip(*args) if args else itertools.repeat(())
+        return (tuple(map(self.S.compose, plan[0](F), rows)), fg)
 
     def _compose_plan(self, f, gs):
         """Index columns for compose: F's, then one per argument slot.
@@ -192,6 +216,16 @@ class BlockProduct:
         pre.set_unit(pre.intern(1, self.unit_key()))
         letters = ((key, self.rank_of(key), key) for key in generators)
         return generated(pre, letters, eval_cap, budget)[0]
+
+
+def _gather(column):
+    """A tuple table's entries at ``column``, as a tuple, in one C call.
+
+    ``itemgetter`` returns a bare entry for one index and needs at least
+    one, so those columns read a slice instead."""
+    if len(column) > 1:
+        return itemgetter(*column)
+    return itemgetter(slice(column[0], column[0] + 1) if column else slice(0))
 
 
 def second_projection(carrier: FinitaryPreclone):
@@ -301,15 +335,14 @@ def alpha_context_morphism(src: RestrictedBlockProduct, dst: BlockProduct, C: Co
     ci = src.bp.ctx_index[len(C.v)].get(C)
     if ci is None:
         raise ValueError(f"not a context of the source product: {C}")
-    plans = {}
+    gathers = {}
 
     def apply(ff):
         F, f = ff
-        m = f[0]
-        plan = plans.get(m)
-        if plan is None:
-            plan = plans[m] = [src.bp.column(D)[ci] for D in dst.contexts[m]]
-        return (tuple(F[i] for i in plan), f)
+        get = gathers.get(f[0])
+        if get is None:
+            get = gathers[f[0]] = _gather([src.bp.column(D)[ci] for D in dst.contexts[f[0]]])
+        return (get(F), f)
 
     return apply
 

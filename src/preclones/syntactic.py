@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .automata import minimize
 from .errors import RankOverflow
@@ -74,30 +75,38 @@ def stack_contexts(T: FinitaryPreclone, C: Context, D: Context) -> Context:
     with insert(f, C.D) == insert(insert(f, D), C) for every rank-m f.
     D.u absorbs the first D.k1 and last D.k2 components of C.v and is
     plugged into C.u; each component of D.v absorbs its slice of the
-    middle of C.v.  Stacking is associative.
+    middle of C.v.  Stacking is associative.  All but the final plug is
+    ``stack_under``, which reads only C.v.
 
     Truncation: every intermediate has rank at most k+1, the rank bound
     that contexts in sort k already need (D.u composed with the absorbed
     components has rank at most k+1 - C.k1 - C.k2, and each middle slice
     composes into a rank at most k), so T's sorts suffice.
     """
-    n = len(C.v)
+    x, j1, v, j2 = stack_under(T, C.v, D)
+    return Context(T.plug(C.u, C.k1, x, C.k2), C.k1 + j1, v, j2 + C.k2)
+
+
+def stack_under(T: FinitaryPreclone, v, D: Context):
+    """The u-free half of stacking: (x, j1, w, j2) with C.D equal to
+    (C.u . (C.k1 units + x + C.k2 units), C.k1 + j1, w, j2 + C.k2) for
+    every context C whose middle tuple is v."""
+    n = len(v)
     if D.k1 + _rank(D.v) + D.k2 != n:
         raise ValueError(f"context {D} is not in sort {n}")
-    left = C.v[: D.k1]
-    middle = C.v[D.k1 : n - D.k2]
-    right = C.v[n - D.k2 :]
-    u = T.plug(C.u, C.k1, T.compose(D.u, left + (T.unit,) + right), C.k2)
-    v = []
+    left = v[: D.k1]
+    middle = v[D.k1 : n - D.k2]
+    right = v[n - D.k2 :]
+    w = []
     pos = 0
-    for w in D.v:
-        v.append(T.compose(w, middle[pos : pos + w[0]]))
-        pos += w[0]
-    return Context(u, C.k1 + _rank(left), tuple(v), _rank(right) + C.k2)
+    for d in D.v:
+        w.append(T.compose(d, middle[pos : pos + d[0]]))
+        pos += d[0]
+    return T.compose(D.u, left + (T.unit,) + right), _rank(left), tuple(w), _rank(right)
 
 
 def _rank(els):
-    return sum(el[0] for el in els)
+    return sum(map(itemgetter(0), els))
 
 
 def is_L_context(T: FinitaryPreclone, P, f, c: Context) -> bool:

@@ -5,7 +5,9 @@
     alpha_context_morphism and relabel against direct stacking;
 (c) a corrupted column entry is caught by each comparison of (b);
 (d) every column that the benchmark's block-product job shapes and the
-    depth-2 corpus compiles cache equals stacking and hashing.
+    depth-2 corpus compiles cache equals stacking and hashing;
+(e) a corrupted block table is caught by (d) and by compose, and the
+    one- and no-entry gathers agree with the direct rewrite.
 """
 
 import itertools
@@ -515,3 +517,102 @@ def test_columns_of_the_depth_two_compiles_match_stacking(name, monkeypatch):
     assert any(bp._columns for bp in made)
     for bp in made:
         assert column_mismatches(bp) == []
+
+
+# ---------------------------------------------------------------------------
+# (e) the block table behind the columns, and gathers of one or no entries
+
+
+def block_corruptions(bp):
+    """Corrupt each block table entry in turn, yielding (width, block, how).
+
+    A block's offset moves by one (down, or up for the block at 0), and
+    the first two v positions of a block with several swap.  The column
+    and plan caches are dropped before each corruption and after the
+    table is restored.
+    """
+    for n, blocks in enumerate(bp._blocks):
+        for key, (offset, vs) in list(blocks.items()):
+            corrupted = [("offset", (offset - 1 if offset else offset + 1, vs))]
+            if len(vs) >= 2:
+                a, b = list(vs)[:2]
+                corrupted.append(("swap", (offset, {**vs, a: vs[b], b: vs[a]})))
+            for how, entry in corrupted:
+                blocks[key] = entry
+                bp._columns.clear()
+                bp._plans.clear()
+                yield n, key, how
+            blocks[key] = (offset, vs)
+    bp._columns.clear()
+    bp._plans.clear()
+
+
+@pytest.mark.parametrize("name", ["t_exists", "t_left"])
+def test_corrupted_block_table_is_caught_by_the_oracle_and_compose(name):
+    T = PRECLONES[name]()
+    bp = BlockProduct(T, T, 1, trunc=2)
+    cases = random_cases(bp, 300, random.Random(47))
+    assert compose_mismatches(bp, cases) == []
+    assert column_mismatches(bp) == []
+    caught = []
+    for n, key, how in block_corruptions(bp):
+        assert compose_mismatches(bp, cases) != [], (n, key, how)
+        assert column_mismatches(bp) != [], (n, key, how)
+        caught.append(how)
+    assert "swap" in caught and caught.count("offset") == sum(map(len, bp._blocks)) >= 6
+    assert compose_mismatches(bp, cases) == []
+    assert column_mismatches(bp) == []
+
+
+def one_state_preclone():
+    """f/2 and a/0 on one state: every sort has one element."""
+    trans = {"f": {(0, 0): 0}, "a": {(): 0}}
+    automaton = TreeAutomaton(alphabet("f/2", "a/0"), 0, 1, (), trans, frozenset({0}))
+    return transformation_pgpair(automaton, 3).pgpair.preclone
+
+
+def unary_preclone():
+    """g/1 swapping two states: no constants, so sort 0 is empty."""
+    automaton = TreeAutomaton(alphabet("g/1"), 0, 2, (), {"g": {(0,): 1, (1,): 0}},
+                              frozenset({1}))
+    return transformation_pgpair(automaton, 2).pgpair.preclone
+
+
+@pytest.mark.parametrize("make, trunc, sizes", [
+    (one_state_preclone, 3, [1, 1, 1, 1]),
+    (unary_preclone, 2, [2, 0, 0]),
+])
+def test_gathers_of_one_or_no_entries(make, trunc, sizes):
+    T = make()
+    bp = BlockProduct(T, T, 0, trunc=trunc)
+    assert [bp.n_contexts(n) for n in range(trunc + 1)] == sizes
+    cases = [
+        ((F, f), [(G, g) for G, g in zip(Gs, gs)])
+        for n in range(trunc + 1) for f in T.sort(n)
+        for gs in T.iter_tuples(n, trunc)
+        for F in itertools.product(T.sort(n), repeat=bp.n_contexts(n))
+        for Gs in itertools.product(*(
+            itertools.product(T.sort(g[0]), repeat=bp.n_contexts(g[0])) for g in gs))
+    ]
+    assert cases and compose_mismatches(bp, cases) == []
+    t_els = [T.sort(n) for n in range(trunc + 1)]
+    src = restricted_block_product(T, T, t_els, 0, trunc=trunc)
+    checked = 0
+    for C in src.bp.contexts[0] + src.bp.contexts[1]:
+        dst = BlockProduct(T, T, len(C.v), trunc=trunc)
+        alpha = alpha_context_morphism(src, dst, C)
+        for m in range(trunc + 1):
+            for f in T.sort(m):
+                ff = (index_table(src.bp, m, "F"), f)
+                assert alpha(ff) == reference_alpha(src, dst, C, ff)
+                checked += 1
+    assert checked > 0
+
+
+def test_column_raises_rank_overflow_for_a_derived_context_past_the_bound():
+    T = t_exists(3).preclone
+    bp = BlockProduct(T, T, 0, trunc=2)
+    a = T.sort(0)[0]
+    wide = Context(T.unit, 0, (a, a, a), 0)  # sort 0, width 3 > trunc
+    with pytest.raises(RankOverflow, match="derived context missing at rank 3"):
+        bp.column(wide)
