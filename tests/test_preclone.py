@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from preclones import automata, preclone
+from preclones import automata, compiler, preclone
 from preclones.automata import (
     boolean_alphabet,
     k_exists,
@@ -17,7 +17,9 @@ from preclones.automata import (
     random_automaton,
 )
 from preclones.blockprod import block_product_pg
+from preclones.cli import load_formula_file
 from preclones.errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow
+from preclones.logic import free_vars
 from preclones.preclone import (
     DEFAULT_BUDGET,
     accepting_elements,
@@ -856,3 +858,107 @@ def test_par_on_adjacent_slots_catches_a_toy():
     assert not want.ok and all(v[0] == "assoc" for v in want.violations)
     got = check_axioms(S)
     assert not got.ok and set(got.violations) <= set(want.violations)
+
+
+# ---------------------------------------------------------------------------
+# transformation composition against the product walk it replaced
+
+
+def reference_transformation_compose(fkey, frank, gkeys):
+    """The former walk: every state combination of the result's arguments,
+    each g-index and then the f-index rebuilt digit by digit."""
+    n_states, ftable = fkey
+    m = sum(grank for _, grank in gkeys)
+    out = []
+    for combo in itertools.product(range(n_states), repeat=m):
+        vals = []
+        pos = 0
+        for (_, gtable), grank in gkeys:
+            idx = 0
+            for q in combo[pos : pos + grank]:
+                idx = idx * n_states + q
+            vals.append(gtable[idx])
+            pos += grank
+        idx = 0
+        for q in vals:
+            idx = idx * n_states + q
+        out.append(ftable[idx])
+    return (n_states, tuple(out))
+
+
+def random_transformation_key(n_states, rank, rng):
+    return (n_states, tuple(rng.randrange(n_states) for _ in range(n_states**rank)))
+
+
+def seeded_compose_calls(seed=13, per_shape=2, max_rank=5):
+    """(fkey, frank, gkeys) for 1-4 states, f of rank 0-3 and every vector
+    of g ranks 0-3 whose total is at most max_rank."""
+    rng = random.Random(seed)
+    calls = []
+    for n_states in range(1, 5):
+        for frank in range(4):
+            for granks in itertools.product(range(4), repeat=frank):
+                if sum(granks) > max_rank:
+                    continue
+                for _ in range(per_shape):
+                    fkey = random_transformation_key(n_states, frank, rng)
+                    gkeys = [(random_transformation_key(n_states, r, rng), r) for r in granks]
+                    calls.append((fkey, frank, gkeys))
+    return calls
+
+
+def compose_call_mismatches(compose, calls):
+    return [c for c in calls if compose(*c) != reference_transformation_compose(*c)]
+
+
+def recorded_compose_calls(monkeypatch, name):
+    """Every call of _transformation_compose made while compiling a corpus
+    formula, once each."""
+    calls = {}
+    original = preclone._transformation_compose
+
+    def recording(fkey, frank, gkeys):
+        calls.setdefault((fkey, frank, tuple(gkeys)), None)
+        return original(fkey, frank, gkeys)
+
+    monkeypatch.setattr(preclone, "_transformation_compose", recording)
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+    compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+    monkeypatch.undo()
+    return [(f, r, list(gs)) for f, r, gs in calls]
+
+
+def swapping_g_entries(compose):
+    """compose, reading one g table with its first two differing entries swapped."""
+
+    def bad(fkey, frank, gkeys):
+        gkeys = list(gkeys)
+        for i, ((n_states, table), grank) in enumerate(gkeys):
+            diff = [j for j in range(1, len(table)) if table[j] != table[0]]
+            if diff:
+                t = list(table)
+                t[0], t[diff[0]] = t[diff[0]], t[0]
+                gkeys[i] = ((n_states, tuple(t)), grank)
+                break
+        return compose(fkey, frank, gkeys)
+
+    return bad
+
+
+def test_transformation_compose_matches_the_product_walk():
+    calls = seeded_compose_calls()
+    assert {f for _, f, _ in calls} == {0, 1, 2, 3}
+    assert any(r == 0 for _, _, gs in calls for _, r in gs)
+    assert compose_call_mismatches(preclone._transformation_compose, calls) == []
+
+
+@pytest.mark.parametrize("name", ["ex04", "ex27"])
+def test_transformation_compose_matches_on_every_compile_call(monkeypatch, name):
+    calls = recorded_compose_calls(monkeypatch, name)
+    assert calls
+    assert compose_call_mismatches(preclone._transformation_compose, calls) == []
+
+
+def test_swapped_g_table_entries_are_caught():
+    bad = swapping_g_entries(preclone._transformation_compose)
+    assert compose_call_mismatches(bad, seeded_compose_calls())

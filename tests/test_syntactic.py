@@ -1,5 +1,9 @@
+import itertools
+import os
+
 import pytest
 
+from preclones import compiler, syntactic
 from preclones.automata import (
     boolean_alphabet,
     complement,
@@ -7,9 +11,12 @@ from preclones.automata import (
     k_exists,
     k_mod,
     left_quotient,
+    load_automaton,
     right_quotient,
 )
+from preclones.cli import load_formula_file
 from preclones.errors import RankOverflow
+from preclones.logic import free_vars
 from preclones.preclone import (
     accepting_elements,
     check_axioms,
@@ -21,6 +28,7 @@ from preclones.syntactic import (
     Context,
     enumerate_contexts,
     find_isomorphism,
+    insert_in_context,
     is_L_context,
     isomorphic,
     syntactic_congruence,
@@ -28,6 +36,7 @@ from preclones.syntactic import (
 )
 from preclones.trees import alphabet, enumerate_trees, oplus
 
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 DBOOL = boolean_alphabet([0, 2])
 
 
@@ -152,3 +161,71 @@ def test_find_isomorphism_respects_structure():
 def test_find_isomorphism_rejects_different():
     assert find_isomorphism(t_exists(2).preclone, t_mod(2, 2).preclone) is None
     assert find_isomorphism(t_mod(2, 2).preclone, t_mod(3, 2).preclone) is None
+
+
+# ---------------------------------------------------------------------------
+# the congruence against the per-context signature walk it replaced
+
+
+def reference_congruence(T, k, P, extra_sets=()):
+    """The former walk: one insert_in_context per (element, context)."""
+    sets = [frozenset(P)] + [frozenset(s) for s in extra_sets]
+    blocks_by_rank = []
+    for n in range(T.trunc + 1):
+        ctxs = enumerate_contexts(T, k, n)
+        groups = {}
+        for f in T.sort(n):
+            sig = tuple(tuple(insert_in_context(T, f, c) in s for s in sets) for c in ctxs)
+            groups.setdefault(sig, []).append(f)
+        blocks_by_rank.append(sorted(groups.values(), key=lambda b: b[0]))
+    return blocks_by_rank
+
+
+def checking_congruence(module, monkeypatch):
+    """Patch module's syntactic_congruence to compare each call with the
+    reference; returns the list of checked calls."""
+    checked = []
+    original = module.syntactic_congruence
+
+    def checking(T, k, P, extra_sets=()):
+        got = original(T, k, P, extra_sets)
+        assert got == reference_congruence(T, k, P, extra_sets)
+        checked.append((k, len(extra_sets)))
+        return got
+
+    monkeypatch.setattr(module, "syntactic_congruence", checking)
+    return checked
+
+
+def subsets(elements):
+    return [
+        [e for e, keep in zip(elements, mask) if keep]
+        for mask in itertools.product((False, True), repeat=len(elements))
+    ]
+
+
+@pytest.mark.parametrize("make", [lambda: t_exists(3), lambda: t_mod(2, 3), lambda: t_mod(3, 3)],
+                         ids=["t_exists", "t_2", "t_3"])
+def test_congruence_matches_the_context_walk_on_the_paper_preclones(make):
+    S = make().preclone
+    for k in range(S.trunc):
+        every = subsets(S.sort(k))
+        for P in every:
+            assert syntactic_congruence(S, k, P) == reference_congruence(S, k, P)
+        assert (syntactic_congruence(S, k, every[1], every[2:])
+                == reference_congruence(S, k, every[1], every[2:]))
+
+
+@pytest.mark.parametrize("name", ["k_exists0", "k_mod_2_0", "k_mod_2_1", "k_mod_3_1"])
+def test_congruence_matches_the_context_walk_on_syntactic_pgpairs(monkeypatch, name):
+    checked = checking_congruence(syntactic, monkeypatch)
+    syntactic_pgpair(load_automaton(os.path.join(CORPUS, name + ".aut")), 3)
+    assert checked == [(0, 0)]
+
+
+@pytest.mark.parametrize("name", ["ex04", "ex19", "ex27"])
+def test_congruence_matches_the_context_walk_on_compiles(monkeypatch, name):
+    checked = checking_congruence(compiler, monkeypatch)
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+    compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+    assert checked and all(extra for _, extra in checked)
