@@ -20,6 +20,7 @@ the formula on valid structures; these feed the next quantifier level.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .automata import (
@@ -103,6 +104,7 @@ def membership(rec: CompiledRecognizer, structure: RankedTree) -> bool:
 # atomic automata
 
 
+@functools.cache
 def _counts_add(counts, extra):
     return tuple(min(2, c + e) for c, e in zip(counts, extra))
 

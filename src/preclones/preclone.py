@@ -231,25 +231,13 @@ class Morphism:
 
 
 def _transformation_compose(fkey, frank, gkeys):
+    """f . (g_1 + ... + g_n) on tables in lexicographic argument order:
+    each g appends one base-n_states digit to every f-index."""
     n_states, ftable = fkey
-    widths = [g[1] for g in gkeys]
-    m = sum(widths)
-    out = []
-    for combo in itertools.product(range(n_states), repeat=m):
-        vals = []
-        pos = 0
-        for (gkey, grank) in gkeys:
-            _, gtable = gkey
-            idx = 0
-            for q in combo[pos : pos + grank]:
-                idx = idx * n_states + q
-            vals.append(gtable[idx])
-            pos += grank
-        idx = 0
-        for q in vals:
-            idx = idx * n_states + q
-        out.append(ftable[idx])
-    return (n_states, tuple(out))
+    acc = [0]
+    for (_, gtable), _ in gkeys:
+        acc = [a * n_states + v for a in acc for v in gtable]
+    return (n_states, tuple(map(ftable.__getitem__, acc)))
 
 
 def transformation_key(n_states, arity, fn):

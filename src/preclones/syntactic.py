@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .automata import minimize
 from .errors import RankOverflow
@@ -27,8 +28,7 @@ from .preclone import (
 from .trees import compositions
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     u: tuple  # El of rank k1+1+k2
     k1: int
     v: tuple  # tuple of El, total rank k-(k1+k2)
@@ -109,28 +109,31 @@ def _rank(els):
     return sum(map(itemgetter(0), els))
 
 
-def is_L_context(T: FinitaryPreclone, P, f, c: Context) -> bool:
-    return insert_in_context(T, f, c) in P
-
-
 def syntactic_congruence(T: FinitaryPreclone, k: int, P, extra_sets=()):
     """Partition of each sort by L-context signatures.
 
     ``P`` is a subset of sort k; ``extra_sets`` adds further rank-k sets
     every class must saturate (used to quotient by the joint syntactic
     congruence of several languages at once).  Returns blocks_by_rank in
-    the shape quotient() expects.
+    the shape quotient() expects.  The enumeration lists each (k1, k2)
+    block u-major over one list vs, so f.v is composed once per v of a block.
     """
     sets = [frozenset(P)] + [frozenset(s) for s in extra_sets]
+    member = [tuple(w in s for s in sets) for w in T.sort(k)]
     blocks_by_rank = []
     for n in range(T.trunc + 1):
+        ctx_blocks = []
         ctxs = enumerate_contexts(T, k, n)
+        for (k1, k2), block in itertools.groupby(ctxs, itemgetter(1, 3)):  # (c.k1, c.k2)
+            us, block = T.sort(k1 + 1 + k2), list(block)
+            ctx_blocks.append((us, k1, [c.v for c in block[: len(block) // len(us)]], k2))
         groups = {}
         for f in T.sort(n):
             sig = []
-            for c in ctxs:
-                w = insert_in_context(T, f, c)
-                sig.append(tuple(w in s for s in sets))
+            for us, k1, vs, k2 in ctx_blocks:
+                fvs = [T.compose(f, v) for v in vs]
+                for u in us:
+                    sig.extend(member[T.plug(u, k1, fv, k2)[1]] for fv in fvs)
             groups.setdefault(tuple(sig), []).append(f)
         # deterministic block order: by least member
         blocks = sorted(groups.values(), key=lambda b: b[0])

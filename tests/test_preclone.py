@@ -962,3 +962,18 @@ def test_transformation_compose_matches_on_every_compile_call(monkeypatch, name)
 def test_swapped_g_table_entries_are_caught():
     bad = swapping_g_entries(preclone._transformation_compose)
     assert compose_call_mismatches(bad, seeded_compose_calls())
+
+
+def corrupted_stride():
+    """_transformation_compose with one digit step n_states - 1, not n_states."""
+    source = textwrap.dedent(inspect.getsource(preclone._transformation_compose))
+    assert source.count("a * n_states + v") == 1
+    namespace = dict(vars(preclone))
+    exec(source.replace("a * n_states + v", "a * (n_states - 1) + v"), namespace)
+    return namespace["_transformation_compose"]
+
+
+def test_corrupted_stride_is_caught(monkeypatch):
+    bad = corrupted_stride()
+    assert compose_call_mismatches(bad, seeded_compose_calls())
+    assert compose_call_mismatches(bad, recorded_compose_calls(monkeypatch, "ex04"))

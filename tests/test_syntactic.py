@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import os
+import textwrap
 
 import pytest
 
@@ -29,7 +31,6 @@ from preclones.syntactic import (
     enumerate_contexts,
     find_isomorphism,
     insert_in_context,
-    is_L_context,
     isomorphic,
     syntactic_congruence,
     syntactic_pgpair,
@@ -65,6 +66,10 @@ def test_enumerate_contexts_requires_room_for_u():
     S = t_exists(2).preclone
     with pytest.raises(RankOverflow):
         enumerate_contexts(S, 2, 0)
+
+
+def is_L_context(T, P, f, c):
+    return insert_in_context(T, f, c) in P
 
 
 def test_is_L_context_examples():
@@ -229,3 +234,35 @@ def test_congruence_matches_the_context_walk_on_compiles(monkeypatch, name):
     phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
     compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
     assert checked and all(extra for _, extra in checked)
+
+
+# a block walk that skips contexts: every u but the first, every v but the first
+BLOCK_WALK_MUTATIONS = {
+    "first-u-only": ("for u in us:", "for u in us[:1]:"),
+    "first-v-only": ("len(block) // len(us)", "1"),
+}
+
+
+def mutated_congruence(mutation):
+    old, new = BLOCK_WALK_MUTATIONS[mutation]
+    source = textwrap.dedent(inspect.getsource(syntactic.syntactic_congruence))
+    assert source.count(old) == 1
+    namespace = dict(vars(syntactic))
+    exec(source.replace(old, new), namespace)
+    return namespace["syntactic_congruence"]
+
+
+@pytest.mark.parametrize("mutation", sorted(BLOCK_WALK_MUTATIONS))
+def test_a_block_walk_that_skips_contexts_is_caught(monkeypatch, mutation):
+    calls = []
+    original = compiler.syntactic_congruence
+
+    def recording(T, k, P, extra_sets=()):
+        calls.append((T, k, P, extra_sets))
+        return original(T, k, P, extra_sets)
+
+    monkeypatch.setattr(compiler, "syntactic_congruence", recording)
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, "ex04.lind"))
+    compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+    bad = mutated_congruence(mutation)
+    assert calls and all(bad(*c) != reference_congruence(*c) for c in calls)
