@@ -38,7 +38,7 @@ from .preclone import (
     PgPair,
     generated,
 )
-from .syntactic import Context, enumerate_contexts, stack_under
+from .syntactic import Context, context_blocks, enumerate_contexts, stack_under
 from .trees import RankedTree, factor_at, rank as tree_rank
 
 
@@ -63,9 +63,8 @@ class BlockProduct:
         # per width, (k1, k2) -> (offset, {v: position}); see column
         self._blocks = [{} for _ in self.contexts]
         for blocks, cs in zip(self._blocks, self.contexts):
-            for i, c in enumerate(cs):
-                vs = blocks.setdefault((c.k1, c.k2), (i, {}))[1]
-                vs.setdefault(c.v, len(vs))
+            for k1, k2, offset, vs in context_blocks(T, cs):
+                blocks[k1, k2] = (offset, {v: i for i, v in enumerate(vs)})
         self._columns = {}  # path of holes -> index column, see column
         self._plans = {}  # (f, gs) -> a gather per table compose reads
 

@@ -62,6 +62,17 @@ def enumerate_contexts(T: FinitaryPreclone, k: int, n: int):
     return out
 
 
+def context_blocks(T: FinitaryPreclone, ctxs):
+    """(k1, k2, offset, vs) per block of an ``enumerate_contexts`` list,
+    which lists each (k1, k2) block u-major over u in T.sort(k1+1+k2) and
+    v in one list vs, starting at offset."""
+    offset = 0
+    for (k1, k2), block in itertools.groupby(ctxs, itemgetter(1, 3)):  # (c.k1, c.k2)
+        block = list(block)
+        yield k1, k2, offset, [c.v for c in block[: len(block) // T.sort_size(k1 + 1 + k2)]]
+        offset += len(block)
+
+
 def insert_in_context(T: FinitaryPreclone, f, c: Context):
     """u . (k1 units + f.v + k2 units); for rank-0 f this is u.(k1+f+k2)."""
     fv = T.compose(f, c.v)
@@ -115,24 +126,20 @@ def syntactic_congruence(T: FinitaryPreclone, k: int, P, extra_sets=()):
     ``P`` is a subset of sort k; ``extra_sets`` adds further rank-k sets
     every class must saturate (used to quotient by the joint syntactic
     congruence of several languages at once).  Returns blocks_by_rank in
-    the shape quotient() expects.  The enumeration lists each (k1, k2)
-    block u-major over one list vs, so f.v is composed once per v of a block.
+    the shape quotient() expects.  f.v is composed once per v of a
+    context block and then plugged under every u of the block.
     """
     sets = [frozenset(P)] + [frozenset(s) for s in extra_sets]
     member = [tuple(w in s for s in sets) for w in T.sort(k)]
     blocks_by_rank = []
     for n in range(T.trunc + 1):
-        ctx_blocks = []
-        ctxs = enumerate_contexts(T, k, n)
-        for (k1, k2), block in itertools.groupby(ctxs, itemgetter(1, 3)):  # (c.k1, c.k2)
-            us, block = T.sort(k1 + 1 + k2), list(block)
-            ctx_blocks.append((us, k1, [c.v for c in block[: len(block) // len(us)]], k2))
+        ctx_blocks = list(context_blocks(T, enumerate_contexts(T, k, n)))
         groups = {}
         for f in T.sort(n):
             sig = []
-            for us, k1, vs, k2 in ctx_blocks:
+            for k1, k2, _, vs in ctx_blocks:
                 fvs = [T.compose(f, v) for v in vs]
-                for u in us:
+                for u in T.sort(k1 + 1 + k2):
                     sig.extend(member[T.plug(u, k1, fv, k2)[1]] for fv in fvs)
             groups.setdefault(tuple(sig), []).append(f)
         # deterministic block order: by least member

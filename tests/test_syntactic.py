@@ -238,18 +238,19 @@ def test_congruence_matches_the_context_walk_on_compiles(monkeypatch, name):
 
 # a block walk that skips contexts: every u but the first, every v but the first
 BLOCK_WALK_MUTATIONS = {
-    "first-u-only": ("for u in us:", "for u in us[:1]:"),
-    "first-v-only": ("len(block) // len(us)", "1"),
+    "first-u-only": ("syntactic_congruence", "for u in T.sort(k1 + 1 + k2):",
+                     "for u in T.sort(k1 + 1 + k2)[:1]:"),
+    "first-v-only": ("context_blocks", "len(block) // T.sort_size(k1 + 1 + k2)", "1"),
 }
 
 
-def mutated_congruence(mutation):
-    old, new = BLOCK_WALK_MUTATIONS[mutation]
-    source = textwrap.dedent(inspect.getsource(syntactic.syntactic_congruence))
+def mutate(monkeypatch, mutation):
+    name, old, new = BLOCK_WALK_MUTATIONS[mutation]
+    source = textwrap.dedent(inspect.getsource(getattr(syntactic, name)))
     assert source.count(old) == 1
     namespace = dict(vars(syntactic))
     exec(source.replace(old, new), namespace)
-    return namespace["syntactic_congruence"]
+    monkeypatch.setattr(syntactic, name, namespace[name])
 
 
 @pytest.mark.parametrize("mutation", sorted(BLOCK_WALK_MUTATIONS))
@@ -264,5 +265,6 @@ def test_a_block_walk_that_skips_contexts_is_caught(monkeypatch, mutation):
     monkeypatch.setattr(compiler, "syntactic_congruence", recording)
     phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, "ex04.lind"))
     compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
-    bad = mutated_congruence(mutation)
-    assert calls and all(bad(*c) != reference_congruence(*c) for c in calls)
+    mutate(monkeypatch, mutation)
+    assert calls
+    assert all(syntactic.syntactic_congruence(*c) != reference_congruence(*c) for c in calls)
