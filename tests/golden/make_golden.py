@@ -62,20 +62,28 @@ CHECK_EQUIV = (
     ("check_equiv_ex31_nv5.txt", ("tests/corpus/ex31.lind", "--max-nv", "5")),
     ("check_equiv_ex32_nv5.txt", ("tests/corpus/ex32.lind", "--max-nv", "5")),
 )
+# check-equiv of a recognizer corrupted by ``corrupted``, so that witness
+# lines are printed: a sentence, and a formula with a free variable
+CORRUPTED_CHECK_EQUIV = (
+    ("check_equiv_ex01_complement_nv4.txt", "complement",
+     ("tests/corpus/ex01.lind", "--max-nv", "4")),
+    ("check_equiv_ex31_swap_nv5.txt", "swap", ("tests/corpus/ex31.lind", "--max-nv", "5")),
+)
 EVAL_TREES = ("tree_sat", "tree_unsat")
 EVAL_FORMULAS = ("ex01", "ex05", "ex10", "ex11")
 
 
-def cli(args, hash_seed="0", codes=(0,)):
+def cli(args, hash_seed="0", codes=(0,), launcher=("-m", "preclones.cli")):
     """stdout of ``python -m preclones.cli ARGS`` in a fresh process at ROOT.
 
-    Raises unless the exit code is one of ``codes``.
+    Raises unless the exit code is one of ``codes``.  ``launcher`` replaces
+    ``-m preclones.cli``.
     """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "preclones.cli", *args],
+        [sys.executable, *launcher, *args],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if proc.returncode not in codes:
@@ -92,6 +100,46 @@ def eval_report(tree, hash_seed="0"):
                   hash_seed, codes=(0, 1))
         lines.append(f"{name}: {out}")
     return "".join(lines)
+
+
+def corrupted(rec, kind):
+    """rec with its accepting set complemented within ``valid`` ("complement"),
+    or with the gamma images of the first two letters of one rank that have
+    different images exchanged ("swap"; None if no such pair exists)."""
+    from dataclasses import replace
+
+    from preclones.preclone import Morphism
+
+    if kind == "complement":
+        return replace(rec, accepting=rec.valid - rec.accepting)
+    image = rec.gamma.image
+    for m in rec.ext_alphabet.arities():
+        names = rec.ext_alphabet.by_arity(m)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                if image[a] != image[b]:
+                    moved = dict(image, **{a: image[b], b: image[a]})
+                    gamma = Morphism(rec.gamma.alphabet, rec.gamma.target, moved)
+                    return replace(rec, gamma=gamma)
+    return None
+
+
+def corrupted_check_equiv(kind, args, hash_seed="0"):
+    """stdout of ``check-equiv ARGS`` on the recognizer ``corrupted(., kind)``,
+    run as ``make_golden.py corrupted-check-equiv KIND ARGS`` in a fresh
+    process; the command finds mismatches, so it exits 1."""
+    launcher = (os.path.abspath(__file__), "corrupted-check-equiv", kind)
+    return cli(args, hash_seed, codes=(1,), launcher=launcher)
+
+
+def corrupted_check_equiv_main(kind, *args):
+    """check-equiv with ``compile_formula`` patched to corrupt its result."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from preclones import cli as preclones_cli
+
+    compile_formula = preclones_cli.compile_formula
+    preclones_cli.compile_formula = lambda *a, **kw: corrupted(compile_formula(*a, **kw), kind)
+    return preclones_cli.main(["check-equiv", *args])
 
 
 def blockprod_digest(text):
@@ -244,6 +292,10 @@ def main():
         with open(os.path.join(GOLDEN, fname), "w") as fh:
             fh.write(cli(["check-equiv", *args]))
 
+    for fname, kind, args in CORRUPTED_CHECK_EQUIV:
+        with open(os.path.join(GOLDEN, fname), "w") as fh:
+            fh.write(corrupted_check_equiv(kind, args))
+
     for tree in EVAL_TREES:
         with open(os.path.join(GOLDEN, f"eval_{tree}.txt"), "w") as fh:
             fh.write(eval_report(tree))
@@ -256,4 +308,6 @@ def main():
 if __name__ == "__main__":
     if sys.argv[1:2] == ["renumbering"]:
         sys.exit(renumbering_main(*sys.argv[2:]))
+    if sys.argv[1:2] == ["corrupted-check-equiv"]:
+        sys.exit(corrupted_check_equiv_main(*sys.argv[2:]))
     main()

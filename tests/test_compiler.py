@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import os
 
 import pytest
@@ -7,6 +9,7 @@ from preclones.cli import load_formula_file
 from preclones.compiler import (
     CompiledRecognizer,
     Compiler,
+    EquivalenceReport,
     check_equivalence,
     compile_atomic,
     compile_formula,
@@ -28,6 +31,7 @@ from preclones.logic import (
     Succ,
     TRUE,
     boolean_family,
+    evaluator,
     free_vars,
     mk_structure,
     parse_formula,
@@ -339,3 +343,61 @@ def test_joint_context_partition_is_a_congruence(k):
     T0 = res.pgpair.preclone
     blocks = syntactic_congruence(T0, k, sets[0], extra_sets=sets[1:])
     quotient(T0, blocks, verify=True)  # raises NotACongruence on failure
+
+
+# -- check_equivalence against the structure walk -------------------------------
+
+
+def reference_check_equivalence(phi, rec, max_nv):
+    """check_equivalence as the structure walk: each (tree, lam, structure)
+    of ``structures``, satisfaction through ``evaluator``, membership
+    through ``gamma.eval`` of the structure tree."""
+    holds = evaluator(phi)
+    checked = accepted = 0
+    mismatches = []
+    for t, lam, s in structures(rec.sigma, rec.variables, rec.rank, max_nv):
+        want = holds(t, lam)
+        checked += 1
+        accepted += 1 if want else 0
+        if want != (rec.gamma.eval(s) in rec.accepting):
+            mismatches.append((t, lam))
+    return EquivalenceReport(checked, accepted, mismatches)
+
+
+@functools.cache
+def corpus_recognizer(name):
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+    return phi, compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+
+
+# the recognizer corruptions of the witness goldens
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", os.path.join(os.path.dirname(__file__), "golden", "make_golden.py"))
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+CORPUS_NAMES = tuple(f"ex{i:02d}" for i in range(1, 33))
+
+
+@pytest.mark.parametrize("name,max_nv", [(name, 4) for name in CORPUS_NAMES]
+                         + [("ex31", 5), ("ex32", 5)])
+def test_check_equivalence_matches_the_structure_walk(name, max_nv):
+    phi, rec = corpus_recognizer(name)
+    rep = check_equivalence(phi, rec, max_nv)
+    assert rep == reference_check_equivalence(phi, rec, max_nv)
+    assert rep.ok and rep.checked > 0
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_check_equivalence_matches_the_structure_walk_on_corrupted_recognizers(name):
+    phi, rec = corpus_recognizer(name)
+    bad = make_golden.corrupted(rec, "complement")
+    rep = check_equivalence(phi, bad, 4)
+    assert rep == reference_check_equivalence(phi, bad, 4)
+    assert len(rep.mismatches) == rep.checked > 0
+    bad = make_golden.corrupted(rec, "swap")
+    if bad is not None:  # 22 of the 32 recognizers have such a pair
+        rep = check_equivalence(phi, bad, 4)
+        assert rep == reference_check_equivalence(phi, bad, 4)
+        assert rep.mismatches

@@ -77,6 +77,13 @@ def test_check_equiv_output_matches_golden(fname, args, hash_seed):
 
 
 @pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+@pytest.mark.parametrize("fname,kind,args", make_golden.CORRUPTED_CHECK_EQUIV)
+def test_corrupted_check_equiv_witnesses_match_golden(fname, kind, args, hash_seed):
+    got = make_golden.corrupted_check_equiv(kind, args, hash_seed)
+    assert got == read(os.path.join(GOLDEN, fname))
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
 @pytest.mark.parametrize("tree", make_golden.EVAL_TREES)
 def test_eval_output_matches_golden(tree, hash_seed):
     got = make_golden.eval_report(tree, hash_seed)
