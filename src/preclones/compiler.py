@@ -49,12 +49,13 @@ from .logic import (
     Root,
     Succ,
     TrueF,
-    evaluator,
     ext_symbol,
     extend_alphabet,
     free_vars,
+    interpretations,
+    node_evaluator,
     split_symbol,
-    structures,
+    structure_letters,
 )
 from .preclone import (
     DEFAULT_BUDGET,
@@ -555,15 +556,16 @@ class EquivalenceReport:
 
 def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceReport:
     """Compare satisfaction against recognizer membership on every
-    structure with at most ``max_nv`` NV nodes."""
-    holds = evaluator(phi)
+    structure with at most ``max_nv`` NV nodes, both read off its node table."""
+    holds = node_evaluator(phi)
     checked = accepted = 0
     mismatches = []
-    for t, lam, s in structures(rec.sigma, rec.variables, rec.rank, max_nv):
-        want = holds(t, lam)
-        got = rec.gamma.eval(s) in rec.accepting  # s has rank k by construction
+    for t, nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv):
+        want = holds(nodes, env)
+        letters = structure_letters(nodes, env)
+        got = rec.gamma.eval_nodes(letters, nodes.kids, rec.rank) in rec.accepting
         checked += 1
         accepted += 1 if want else 0
         if want != got:
-            mismatches.append((t, lam))
+            mismatches.append((t, {z: nodes.paths[i] for z, i in env.items()}))
     return EquivalenceReport(checked, accepted, mismatches)

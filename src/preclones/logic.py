@@ -15,12 +15,13 @@ with free variables cannot be interpreted on it; sentences can.
 Satisfaction is evaluated on a node table: a tree's NV nodes in preorder,
 with children, subtree ends and variable counts as arrays, so that every
 atom is a constant-time read.  A formula is compiled once into a function
-of (node table, variable -> node index); Q_K assigns the letters in one
-preorder loop and runs K bottom-up over the arrays.
+of (node table, variable -> node index); Q_K picks each node's letter and
+runs K on it in one reverse-preorder pass over the arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
@@ -177,12 +178,12 @@ def evaluator(phi):
 
     phi is compiled once; calls in a row on one tree share its node table.
     """
-    run, last = _compile(phi), [None, None]
+    run, last = node_evaluator(phi), [None, None]
 
     def holds(t, lam):
         if last[0] is not t:
             last[:] = t, _Nodes(t)
-        return run(last[1], {z: last[1].index[p] for z, p in lam.items()})
+        return run(last[1], {z: last[1].paths.index(p) for z, p in lam.items()})
 
     return holds
 
@@ -190,35 +191,38 @@ def evaluator(phi):
 class _Nodes:
     """A tree's NV nodes in preorder, as arrays each atom reads in O(1).
 
-    ``index`` maps each node's path to its index.  A child or the root is a
-    node index, or -j for the leaf v_j.  end[i] is one past the last node
-    of i's subtree; left[i] counts the variables left of it and
-    right[i] - 1 those up to its end.
-    """
+    A child or the root is a node index, or -j for the leaf v_j.  end[i] is
+    one past the last node of i's subtree; left[i] counts the variables
+    left of it and right[i] - 1 those up to its end."""
 
     def __init__(self, t: RankedTree):
-        self.index, self.labels, self.kids = {}, [], []
+        self.tree, self.labels, self.kids = t, [], []
         self.end, self.left, self.right, self.leaves = [], [], [], []
-        self.root = self._add(t, ())
+        self.root = self._add(t)
 
-    def _add(self, s, path):
+    def _add(self, s):
         if s.is_var():
             self.leaves.append(s.label)
             return -s.label
-        i = self.index[path] = len(self.labels)
+        i = len(self.labels)
         self.labels.append(s.label)
         self.left.append(len(self.leaves))
         self.kids.append(None)
         self.end.append(None)
         self.right.append(None)
-        self.kids[i] = tuple([self._add(c, path + (n,)) for n, c in enumerate(s.children)])
+        self.kids[i] = tuple([self._add(c) for c in s.children])
         self.end[i], self.right[i] = len(self.labels), len(self.leaves) + 1
         return i
 
+    @functools.cached_property
+    def paths(self):
+        """Each node's path, computed on first use."""
+        return nv_nodes(self.tree)
 
-def _compile(phi):
-    """phi as a function of (nodes, env), env mapping free variables to
-    node indices."""
+
+def node_evaluator(phi):
+    """phi as a function of (nodes, env): a node table of ``interpretations``
+    and a map of phi's free variables to node indices."""
     if isinstance(phi, TrueF):
         return lambda n, e: True
     if isinstance(phi, FalseF):
@@ -245,18 +249,16 @@ def _compile(phi):
         j, x = phi.j, phi.x
         return lambda n, e: n.right[e[x]] == j
     if isinstance(phi, Not):
-        sub = _compile(phi.sub)
+        sub = node_evaluator(phi.sub)
         return lambda n, e: not sub(n, e)
     if isinstance(phi, Or):
-        left, right = _compile(phi.left), _compile(phi.right)
+        left, right = node_evaluator(phi.left), node_evaluator(phi.right)
         return lambda n, e: left(n, e) or right(n, e)
     if isinstance(phi, And):
-        left, right = _compile(phi.left), _compile(phi.right)
+        left, right = node_evaluator(phi.left), node_evaluator(phi.right)
         return lambda n, e: left(n, e) and right(n, e)
     if isinstance(phi, QK):
-        lang, x = phi.lang, phi.var
-        by_rank = _by_rank(lang.alphabet, phi.formulas())
-        return lambda n, e: _run(lang, n, _letters(n, e, x, by_rank)) in lang.finals
+        return _quantifier(phi.lang, phi.var, _by_rank(phi.lang.alphabet, phi.formulas()))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -264,7 +266,7 @@ def _by_rank(delta: RankedAlphabet, formulas):
     """rank -> [(letter, compiled formula)], in delta's order."""
     out = {}
     for d, m in delta.symbols:
-        out.setdefault(m, []).append((d, _compile(formulas[d])))
+        out.setdefault(m, []).append((d, node_evaluator(formulas[d])))
     return out
 
 
@@ -276,7 +278,7 @@ def _letters(nodes, env, x, by_rank):
         env[x] = i
         holding = [d for d, holds in by_rank.get(len(kids), ()) if holds(nodes, env)]
         if len(holding) != 1:
-            path = list(nodes.index)[i]
+            path = nodes.paths[i]
             raise DeterminismViolation(
                 f"family is not deterministic at node {path}: {holding}",
                 node=path,
@@ -286,19 +288,29 @@ def _letters(nodes, env, x, by_rank):
     return out
 
 
-def _run(aut: TreeAutomaton, nodes, letters) -> int:
-    """``aut.run`` of the tree relabelled by ``letters``, over the arrays."""
-    for j in nodes.leaves:
-        if not 1 <= j <= aut.rank:
-            raise ValueError(f"variable v{j} outside rank {aut.rank}")
-    # states[-j] is the state of v_j, and children follow their parent
-    states = [0] * len(letters) + list(reversed(aut.var_state))
-    try:
-        for i in reversed(range(len(letters))):
-            states[i] = aut.transitions[letters[i]][tuple(map(states.__getitem__, nodes.kids[i]))]
-    except KeyError:
-        raise ValueError(f"symbol {letters[i]!r} not in automaton alphabet") from None
-    return states[nodes.root]
+def _quantifier(aut: TreeAutomaton, x, by_rank):
+    """Q_K as a function of (nodes, env): one reverse-preorder pass gives
+    each node its letter, as in ``_letters``, and its state in ``aut``."""
+
+    def holds(nodes, env):
+        for j in nodes.leaves:
+            if not 1 <= j <= aut.rank:
+                raise ValueError(f"variable v{j} outside rank {aut.rank}")
+        env, kids_of, get, delta = dict(env), nodes.kids, by_rank.get, aut.transitions
+        # states[-j] is the state of v_j, and children follow their parent
+        states = [0] * len(kids_of) + list(reversed(aut.var_state))
+        for i in reversed(range(len(kids_of))):
+            env[x], kids = i, kids_of[i]
+            holding = [d for d, f in get(len(kids), ()) if f(nodes, env)]
+            if len(holding) != 1:
+                _letters(nodes, env, x, by_rank)  # raises at the first such node
+            try:
+                states[i] = delta[holding[0]][tuple(map(states.__getitem__, kids))]
+            except KeyError:
+                raise ValueError(f"symbol {holding[0]!r} not in automaton alphabet") from None
+        return states[nodes.root] in aut.finals
+
+    return holds
 
 
 def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTree:
@@ -308,7 +320,7 @@ def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTre
     rank applies.
     """
     nodes = _Nodes(t)
-    env = {z: nodes.index[p] for z, p in lam.items()}
+    env = {z: nodes.paths.index(p) for z, p in lam.items()}
     letters = _letters(nodes, env, x, _by_rank(delta, formulas))
     built = [None] * len(letters)
     for i in reversed(range(len(letters))):
@@ -380,14 +392,29 @@ def mk_structure(t: RankedTree, lam: dict) -> RankedTree:
     return out
 
 
-def structures(sigma, zs, k, max_nv):
-    """All (tree, lam, structure) triples with the tree's NV count bounded."""
+def structure_letters(nodes, env) -> list:
+    """Each node's label extended by the variables env puts there, in preorder."""
+    letters = list(nodes.labels)
+    for i in set(env.values()):
+        letters[i] = ext_symbol(letters[i], [z for z, j in env.items() if j == i])
+    return letters
+
+
+def interpretations(sigma, zs, k, max_nv):
+    """(tree, node table, env) for every structure with the tree's NV count
+    bounded, env mapping the sorted zs to node indices; a tree's share a table."""
     zs = sorted(zs)
     for t in enumerate_trees(sigma, k, max_nv):
-        nvs = nv_nodes(t) if zs else ()
-        for assign in itertools.product(nvs, repeat=len(zs)):
-            lam = dict(zip(zs, assign))
-            yield t, lam, mk_structure(t, lam)
+        nodes = _Nodes(t)
+        for assign in itertools.product(range(len(nodes.labels)), repeat=len(zs)):
+            yield t, nodes, dict(zip(zs, assign))
+
+
+def structures(sigma, zs, k, max_nv):
+    """All (tree, lam, structure) triples, in the order of ``interpretations``."""
+    for t, nodes, env in interpretations(sigma, zs, k, max_nv):
+        lam = {z: nodes.paths[i] for z, i in env.items()}
+        yield t, lam, mk_structure(t, lam)
 
 
 # ---------------------------------------------------------------------------

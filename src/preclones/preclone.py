@@ -225,6 +225,15 @@ class Morphism:
         imgs = [self.eval(c) for c in t.children]
         return self.target.compose(self.image[t.label], imgs)
 
+    def eval_nodes(self, letters, kids, rank) -> El:
+        """``eval`` of a rank-``rank`` tree whose i-th symbol node in preorder has
+        letters[i] and children kids[i] (node indices, or -j for v_j)."""
+        vals = [self.target.unit] * (len(letters) + rank)
+        image, compose = self.image, self.target.compose
+        for i in reversed(range(len(letters))):
+            vals[i] = compose(image[letters[i]], tuple(map(vals.__getitem__, kids[i])))
+        return vals[0]
+
 
 # ---------------------------------------------------------------------------
 # transformation preclones

@@ -56,6 +56,7 @@ from preclones.trees import (
     RankedTree,
     alphabet,
     enumerate_trees,
+    load_alphabet,
     nv_nodes,
     parse_tree,
     rank,
@@ -816,6 +817,37 @@ def test_violations_match_the_tree_walk(text):
         assert check_deterministic(*args) == ref_check_deterministic(*args)
 
 
+@pytest.mark.parametrize("text", PARTIAL_FAMILIES)
+def test_quantifier_pass_raises_where_characteristic_tree_does(text):
+    # the pass meets the nodes in reverse preorder, but must report the
+    # first violating node in preorder, with its letters and message
+    langs = {"kpath": load_automaton(os.path.join(CORPUS, "k_path0.aut"))}
+    phi = parse_formula(text, DBOOL, 0, langs)
+    holds = logic.node_evaluator(phi)
+    raised = 0
+    for t, nodes, env in logic.interpretations(DBOOL, ["z"], 0, 4):
+        lam = {z: nodes.paths[i] for z, i in env.items()}
+        want = verdict(characteristic_tree, t, lam, phi.var, phi.lang.alphabet,
+                       phi.formulas())
+        got = verdict(holds, nodes, env)
+        if isinstance(want, tuple):
+            assert got == want, (t, lam)
+            raised += 1
+        else:
+            assert isinstance(got, bool), (t, lam)
+    assert raised
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("alph", ["sigma_ex", "dbool"])
+def test_node_table_paths_are_the_nv_nodes(alph, k):
+    sigma = load_alphabet(os.path.join(CORPUS, alph + ".alph"))
+    for t in enumerate_trees(sigma, k, 5):
+        nodes = logic._Nodes(t)
+        assert nodes.paths == nv_nodes(t), t
+        assert [subtree_at(t, p).label for p in nodes.paths] == nodes.labels
+
+
 def test_unit_tree_reads_the_first_variable_state():
     phi = parse_formula("exists x. P[a](x)", SIG, 1)
     verdicts = set()
@@ -836,8 +868,9 @@ MUTATIONS = {
     "succ_off_by_one": ("i, x, y = phi.i - 1, phi.x, phi.y",
                         "i, x, y = phi.i, phi.x, phi.y"),
     "right_without_plus_one": ("len(self.leaves) + 1", "len(self.leaves)"),
-    "qk_children_reversed": ("map(states.__getitem__, nodes.kids[i])",
-                             "map(states.__getitem__, nodes.kids[i][::-1])"),
+    "qk_children_reversed": ("map(states.__getitem__, kids)",
+                             "map(states.__getitem__, kids[::-1])"),
+    "qk_x_at_the_root": ("env[x], kids = i, kids_of[i]", "env[x], kids = 0, kids_of[i]"),
 }
 FORMULA_CLASSES = ("PSym", "Less", "Succ", "Root", "Max", "LeftJ", "RightJ",
                    "TrueF", "FalseF", "Not", "Or", "And", "QK")
