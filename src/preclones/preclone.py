@@ -82,6 +82,7 @@ class FinitaryPreclone:
         if el[0] != 1:
             raise ValueError("unit must have rank 1")
         self.unit = el
+        self._units = [(el,) * n for n in range(self.trunc + 1)]
 
     # -- composition ----------------------------------------------------------
 
@@ -114,7 +115,7 @@ class FinitaryPreclone:
 
     def plug(self, u: El, k1: int, x: El, k2: int) -> El:
         """u . (k1 units + x + k2 units)."""
-        return self.compose(u, (self.unit,) * k1 + (x,) + (self.unit,) * k2)
+        return self.compose(u, self._units[k1] + (x,) + self._units[k2])
 
     # -- bulk enumeration -----------------------------------------------------
 
