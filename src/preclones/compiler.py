@@ -55,7 +55,6 @@ from .logic import (
     interpretations,
     node_evaluator,
     split_symbol,
-    structure_letters,
 )
 from .preclone import (
     DEFAULT_BUDGET,
@@ -562,7 +561,9 @@ def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceR
     mismatches = []
     for t, nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv):
         want = holds(nodes, env)
-        letters = structure_letters(nodes, env)
+        letters = list(nodes.labels)  # each extended by the variables on it
+        for i in set(env.values()):
+            letters[i] = ext_symbol(letters[i], [z for z, j in env.items() if j == i])
         got = rec.gamma.eval_nodes(letters, nodes.kids, rec.rank) in rec.accepting
         checked += 1
         accepted += 1 if want else 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .automata import TreeAutomaton, boolean_alphabet, k_exists, k_mod
@@ -201,16 +202,17 @@ class _Nodes:
         self.root = self._add(t)
 
     def _add(self, s):
-        if s.is_var():
-            self.leaves.append(s.label)
-            return -s.label
+        label = s.label
+        if label.__class__ is int:  # a variable leaf
+            self.leaves.append(label)
+            return -label
         i = len(self.labels)
-        self.labels.append(s.label)
+        self.labels.append(label)
         self.left.append(len(self.leaves))
         self.kids.append(None)
         self.end.append(None)
         self.right.append(None)
-        self.kids[i] = tuple([self._add(c) for c in s.children])
+        self.kids[i] = tuple([self._add(c) for c in s.children]) if s.children else ()
         self.end[i], self.right[i] = len(self.labels), len(self.leaves) + 1
         return i
 
@@ -258,15 +260,44 @@ def node_evaluator(phi):
         left, right = node_evaluator(phi.left), node_evaluator(phi.right)
         return lambda n, e: left(n, e) and right(n, e)
     if isinstance(phi, QK):
-        return _quantifier(phi.lang, phi.var, _by_rank(phi.lang.alphabet, phi.formulas()))
+        aut, x, by_rank = phi.lang, phi.var, _by_rank(phi.lang.alphabet, phi.formulas())
+
+        def holds(nodes, env):
+            # one reverse-preorder pass: each node's letter, as in _letters, and K's state
+            for j in nodes.leaves:
+                if not 1 <= j <= aut.rank:
+                    raise ValueError(f"variable v{j} outside rank {aut.rank}")
+            env, kids_of, delta = dict(env), nodes.kids, aut.transitions
+            # states[-j] is the state of v_j, and children follow their parent
+            states = [0] * len(kids_of) + list(reversed(aut.var_state))
+            for i in reversed(range(len(kids_of))):
+                env[x], kids = i, kids_of[i]
+                holding = by_rank[len(kids)](nodes, env)
+                if len(holding) != 1:
+                    _letters(nodes, env, x, by_rank)  # raises at the first such node
+                try:
+                    states[i] = delta[holding[0]][tuple(map(states.__getitem__, kids))]
+                except KeyError:
+                    raise ValueError(f"symbol {holding[0]!r} not in automaton alphabet") from None
+            return states[nodes.root] in aut.finals
+
+        return holds
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def _by_rank(delta: RankedAlphabet, formulas):
-    """rank -> [(letter, compiled formula)], in delta's order."""
-    out = {}
-    for d, m in delta.symbols:
-        out.setdefault(m, []).append((d, node_evaluator(formulas[d])))
+    """rank -> function of (nodes, env) listing the letters of that rank whose
+    formulas hold, in delta's order; of a pair phi, !phi only phi is evaluated."""
+    out = defaultdict(lambda: lambda n, e: [])  # no letter of a rank not in delta
+    for m in delta.arities():
+        ds = delta.by_arity(m)
+        fs = [formulas[d] for d in ds]
+        if len(ds) == 2 and Not(fs[0]) == fs[1]:
+            f, a, b = node_evaluator(fs[0]), (ds[0],), (ds[1],)
+            out[m] = lambda n, e, f=f, a=a, b=b: a if f(n, e) else b
+        else:
+            evs = [(d, node_evaluator(f)) for d, f in zip(ds, fs)]
+            out[m] = lambda n, e, evs=evs: [d for d, f in evs if f(n, e)]
     return out
 
 
@@ -276,7 +307,7 @@ def _letters(nodes, env, x, by_rank):
     env, out = dict(env), []
     for i, kids in enumerate(nodes.kids):
         env[x] = i
-        holding = [d for d, holds in by_rank.get(len(kids), ()) if holds(nodes, env)]
+        holding = by_rank[len(kids)](nodes, env)
         if len(holding) != 1:
             path = nodes.paths[i]
             raise DeterminismViolation(
@@ -286,31 +317,6 @@ def _letters(nodes, env, x, by_rank):
             )
         out.append(holding[0])
     return out
-
-
-def _quantifier(aut: TreeAutomaton, x, by_rank):
-    """Q_K as a function of (nodes, env): one reverse-preorder pass gives
-    each node its letter, as in ``_letters``, and its state in ``aut``."""
-
-    def holds(nodes, env):
-        for j in nodes.leaves:
-            if not 1 <= j <= aut.rank:
-                raise ValueError(f"variable v{j} outside rank {aut.rank}")
-        env, kids_of, get, delta = dict(env), nodes.kids, by_rank.get, aut.transitions
-        # states[-j] is the state of v_j, and children follow their parent
-        states = [0] * len(kids_of) + list(reversed(aut.var_state))
-        for i in reversed(range(len(kids_of))):
-            env[x], kids = i, kids_of[i]
-            holding = [d for d, f in get(len(kids), ()) if f(nodes, env)]
-            if len(holding) != 1:
-                _letters(nodes, env, x, by_rank)  # raises at the first such node
-            try:
-                states[i] = delta[holding[0]][tuple(map(states.__getitem__, kids))]
-            except KeyError:
-                raise ValueError(f"symbol {holding[0]!r} not in automaton alphabet") from None
-        return states[nodes.root] in aut.finals
-
-    return holds
 
 
 def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTree:
@@ -390,14 +396,6 @@ def mk_structure(t: RankedTree, lam: dict) -> RankedTree:
             raise ValueError(f"{zs[0]} must sit at an NV node")
         out = replace_at(out, path, RankedTree(ext_symbol(s.label, zs), s.children))
     return out
-
-
-def structure_letters(nodes, env) -> list:
-    """Each node's label extended by the variables env puts there, in preorder."""
-    letters = list(nodes.labels)
-    for i in set(env.values()):
-        letters[i] = ext_symbol(letters[i], [z for z, j in env.items() if j == i])
-    return letters
 
 
 def interpretations(sigma, zs, k, max_nv):

@@ -230,9 +230,10 @@ class Morphism:
         """``eval`` of a rank-``rank`` tree whose i-th symbol node in preorder has
         letters[i] and children kids[i] (node indices, or -j for v_j)."""
         vals = [self.target.unit] * (len(letters) + rank)
-        image, compose = self.image, self.target.compose
+        image, memo, compose = self.image, self.target._memo, self.target.compose
         for i in reversed(range(len(letters))):
-            vals[i] = compose(image[letters[i]], tuple(map(vals.__getitem__, kids[i])))
+            f, gs = image[letters[i]], tuple(map(vals.__getitem__, kids[i]))
+            vals[i] = memo.get((f, gs)) or compose(f, gs)
         return vals[0]
 
 

@@ -871,6 +871,7 @@ MUTATIONS = {
     "qk_children_reversed": ("map(states.__getitem__, kids)",
                              "map(states.__getitem__, kids[::-1])"),
     "qk_x_at_the_root": ("env[x], kids = i, kids_of[i]", "env[x], kids = 0, kids_of[i]"),
+    "qk_pair_letters_swapped": ("a if f(n, e) else b", "b if f(n, e) else a"),
 }
 FORMULA_CLASSES = ("PSym", "Less", "Succ", "Root", "Max", "LeftJ", "RightJ",
                    "TrueF", "FalseF", "Not", "Or", "And", "QK")
