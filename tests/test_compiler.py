@@ -401,3 +401,34 @@ def test_check_equivalence_matches_the_structure_walk_on_corrupted_recognizers(n
         rep = check_equivalence(phi, bad, 4)
         assert rep == reference_check_equivalence(phi, bad, 4)
         assert rep.mismatches
+
+
+# the recognizers of a constant language have one element of sort k, so no
+# corrupted value of a root composition can change a verdict
+CONSTANT_NAMES = ("ex16", "ex17", "ex18", "ex29", "ex30")
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_NAMES if n not in CONSTANT_NAMES])
+def test_check_equivalence_catches_a_corrupted_compose_memo_entry(name, monkeypatch):
+    # the first structure with children at its root: its root composition's
+    # memo entry is sent to an element of sort k on the other side of the
+    # accepting set, so that structure's membership flips
+    phi, rec = corpus_recognizer(name)
+    gamma, pre = rec.gamma, rec.gamma.target
+    for t, lam, s in structures(rec.sigma, rec.variables, rec.rank, 4):
+        if s.children:
+            break
+    right = gamma.eval(s) in rec.accepting
+    wrong = [el for el in pre.sort(rec.rank) if (el in rec.accepting) != right]
+    key = (gamma.image[s.label], tuple(gamma.eval(c) for c in s.children))
+    assert pre.compose(*key) == gamma.eval(s)
+    monkeypatch.setitem(pre._memo, key, wrong[0])
+    rep = check_equivalence(phi, rec, 4)
+    assert (t, lam) in rep.mismatches
+
+
+@pytest.mark.parametrize("name", CONSTANT_NAMES)
+def test_constant_recognizers_have_one_element_of_sort_k(name):
+    _, rec = corpus_recognizer(name)
+    assert rec.gamma.target.sort_size(rec.rank) == 1
+

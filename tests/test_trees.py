@@ -208,6 +208,18 @@ def test_enumerate_matches_the_composing_reference(alph, k):
     assert list(enumerate_trees(alph, k, 6)) == list(reference_enumerate_trees(alph, k, 6))
 
 
+# a unary and a ternary letter: child offsets over one, two and three
+# children, and nv levels reached through several arities
+UNARY_TERNARY = alphabet("g/1", "h/3", "a/0", "b/0")
+
+
+@pytest.mark.parametrize("k", (0, 1, 2, 3))
+def test_enumerate_matches_the_composing_reference_on_unary_and_ternary_letters(k):
+    got = list(enumerate_trees(UNARY_TERNARY, k, 5))
+    assert got == list(reference_enumerate_trees(UNARY_TERNARY, k, 5))
+    assert got or k > 2  # rank 3 needs h over three trees of one NV node each
+
+
 def test_enumerate_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="max_nv must be >= 0, got -1"):
         list(enumerate_trees(SIG, 0, -1))
