@@ -74,7 +74,7 @@ from .syntactic import (
 )
 from .preclone import quotient as preclone_quotient
 from .blockprod import BlockProduct
-from .trees import RankedAlphabet, RankedTree, rank as tree_rank
+from .trees import RankedAlphabet, RankedTree, forest, rank as tree_rank
 
 
 @dataclass
@@ -555,16 +555,22 @@ class EquivalenceReport:
 
 def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceReport:
     """Compare satisfaction against recognizer membership on every
-    structure with at most ``max_nv`` NV nodes, both read off its node table."""
+    structure with at most ``max_nv`` NV nodes, both read off its node table;
+    a sentence's gamma is read off one evaluation of the enumeration's forest."""
     holds = node_evaluator(phi)
     checked = accepted = 0
     mismatches = []
-    for t, nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv):
+    shared = forest(rec.sigma, rec.rank, max_nv)
+    values = None if rec.variables else rec.gamma.eval_dag(shared[0])
+    for t, nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv, shared):
         want = holds(nodes, env)
-        letters = list(nodes.labels)  # each extended by the variables on it
-        for i in set(env.values()):
-            letters[i] = ext_symbol(letters[i], [z for z, j in env.items() if j == i])
-        got = rec.gamma.eval_nodes(letters, nodes.kids, rec.rank) in rec.accepting
+        if values is not None:
+            got = values[nodes.serial] in rec.accepting
+        else:
+            letters = list(nodes.labels)  # each extended by the variables on it
+            for i in set(env.values()):
+                letters[i] = ext_symbol(letters[i], [z for z, j in env.items() if j == i])
+            got = rec.gamma.eval_nodes(letters, nodes.kids, rec.rank) in rec.accepting
         checked += 1
         accepted += 1 if want else 0
         if want != got:

@@ -33,6 +33,7 @@ from .trees import (
     RankedAlphabet,
     RankedTree,
     enumerate_trees,
+    forest,
     nv_nodes,
     replace_at,
     subtree_at,
@@ -194,10 +195,11 @@ class _Nodes:
 
     A child or the root is a node index, or -j for the leaf v_j.  end[i] is
     one past the last node of i's subtree; left[i] counts the variables
-    left of it and right[i] - 1 those up to its end."""
+    left of it and right[i] - 1 those up to its end.  serial is the tree's
+    entry in the ``trees.forest`` dag it came from, if any."""
 
-    def __init__(self, t: RankedTree):
-        self.tree, self.labels, self.kids = t, [], []
+    def __init__(self, t: RankedTree, serial=None):
+        self.tree, self.serial, self.labels, self.kids = t, serial, [], []
         self.end, self.left, self.right, self.leaves = [], [], [], []
         self.root = self._add(t)
 
@@ -281,7 +283,16 @@ def node_evaluator(phi):
                     raise ValueError(f"symbol {holding[0]!r} not in automaton alphabet") from None
             return states[nodes.root] in aut.finals
 
-        return holds
+        if free_vars(phi):
+            return holds
+        last = [None, None]  # a closed Q_K has one value per node table
+
+        def closed(nodes, env):
+            if last[0] is not nodes:
+                last[:] = nodes, holds(nodes, env)
+            return last[1]
+
+        return closed
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -398,14 +409,16 @@ def mk_structure(t: RankedTree, lam: dict) -> RankedTree:
     return out
 
 
-def interpretations(sigma, zs, k, max_nv):
+def interpretations(sigma, zs, k, max_nv, shared=None):
     """(tree, node table, env) for every structure with the tree's NV count
-    bounded, env mapping the sorted zs to node indices; a tree's share a table."""
+    bounded, env mapping the sorted zs to node indices; a tree's share a
+    table.  ``shared`` is ``forest(sigma, k, max_nv)`` if already built."""
     zs = sorted(zs)
-    for t in enumerate_trees(sigma, k, max_nv):
-        nodes = _Nodes(t)
+    dag, levels = shared or forest(sigma, k, max_nv)
+    for s in itertools.chain.from_iterable(levels):
+        nodes = _Nodes(dag[s][2], s)
         for assign in itertools.product(range(len(nodes.labels)), repeat=len(zs)):
-            yield t, nodes, dict(zip(zs, assign))
+            yield nodes.tree, nodes, dict(zip(zs, assign))
 
 
 def structures(sigma, zs, k, max_nv):

@@ -236,6 +236,19 @@ class Morphism:
             vals[i] = memo.get((f, gs)) or compose(f, gs)
         return vals[0]
 
+    def eval_dag(self, dag) -> list:
+        """``eval`` of every entry of a ``trees.forest`` dag, by serial: one
+        compose-memo lookup each, children first."""
+        vals, unit = [], self.target.unit
+        image, memo, compose = self.image, self.target._memo, self.target.compose
+        for label, kids, _, _ in dag:
+            if label.__class__ is int:  # a variable leaf
+                vals.append(unit)
+            else:
+                f, gs = image[label], tuple(map(vals.__getitem__, kids))
+                vals.append(memo.get((f, gs)) or compose(f, gs))
+        return vals
+
 
 # ---------------------------------------------------------------------------
 # transformation preclones

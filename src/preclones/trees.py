@@ -384,30 +384,49 @@ def compositions(total, parts):
     )
 
 
-def _trees_exact(alph, k, nv, memo):
-    """All trees of rank k with exactly nv NV nodes (unsorted)."""
-    key = (k, nv)
+def _trees_exact(alph, k, nv, off, memo, dag):
+    """Serials of the trees of rank k with exactly nv NV nodes and variables
+    v_{off+1}.., each appended to ``dag`` once, after its children."""
+    off = off if k else 0  # a rank-0 tree is the same at every offset
+    key = (k, nv, off)
     if key in memo:
         return memo[key]
     out = []
-    if nv == 0:
-        if k == 1:
-            out.append(UNIT)
-    else:
-        for name, m in alph.symbols:
-            if nv - 1 == 0 and m > 0:
-                continue
-            for ranks in compositions(k, m):
-                # child i's variables follow those of the children before it
-                offsets = tuple(itertools.accumulate(ranks, initial=0))
-                for nvs in compositions(nv - 1, m):
-                    child_sets = [
-                        [shift_vars(c, off) for c in _trees_exact(alph, r, n, memo)]
-                        for r, n, off in zip(ranks, nvs, offsets)
-                    ]
-                    out.extend(RankedTree(name, kids) for kids in itertools.product(*child_sets))
+    if nv == 0 and k == 1:
+        out.append(len(dag))
+        dag.append((off + 1, (), RankedTree(off + 1), f"v{off + 1}"))
+    for name, m in alph.symbols if nv else ():
+        if nv - 1 == 0 and m > 0:
+            continue
+        for ranks in compositions(k, m):
+            # child i's variables follow those of the children before it
+            offsets = tuple(itertools.accumulate(ranks, initial=off))
+            for nvs in compositions(nv - 1, m):
+                child_sets = [
+                    _trees_exact(alph, r, n, o, memo, dag)
+                    for r, n, o in zip(ranks, nvs, offsets)
+                ]
+                for kids in itertools.product(*child_sets):
+                    subs = [dag[c] for c in kids]
+                    text = f"{name}({','.join(e[3] for e in subs)})" if kids else name
+                    out.append(len(dag))
+                    dag.append((name, kids, RankedTree(name, tuple(e[2] for e in subs)), text))
     memo[key] = out
     return out
+
+
+def forest(alph: RankedAlphabet, k: int, max_nv: int):
+    """The trees of ``enumerate_trees``, each subtree built once: (dag, levels).
+
+    ``dag[s]`` is the entry (label, kids, tree, text) of serial s, kids its
+    children's serials (each before its parent; v_j is (j, (), v_j, "vj")).
+    ``levels[nv]`` lists the serials of the trees with nv NV nodes, in order.
+    """
+    if max_nv < 0:
+        raise ValueError(f"max_nv must be >= 0, got {max_nv}")
+    memo, dag = {}, []
+    levels = [_trees_exact(alph, k, nv, 0, memo, dag) for nv in range(max_nv + 1)]
+    return dag, [sorted(level, key=lambda s: dag[s][3]) for level in levels]
 
 
 def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
@@ -416,11 +435,8 @@ def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
     Order: by NV count, then lexicographically on the term text, so runs
     are reproducible.  Raises ValueError for a negative max_nv.
     """
-    if max_nv < 0:
-        raise ValueError(f"max_nv must be >= 0, got {max_nv}")
-    memo = {}
-    for nv in range(max_nv + 1):
-        yield from sorted(_trees_exact(alph, k, nv, memo), key=tree_to_text)
+    dag, levels = forest(alph, k, max_nv)
+    yield from (dag[s][2] for level in levels for s in level)
 
 
 def count_nv(t: RankedTree) -> int:

@@ -39,7 +39,7 @@ from preclones.logic import (
     structures,
     tilde_substitute,
 )
-from preclones.trees import UNIT, alphabet, enumerate_trees, rank as tree_rank
+from preclones.trees import UNIT, alphabet, enumerate_trees, forest, rank as tree_rank
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
@@ -431,4 +431,69 @@ def test_check_equivalence_catches_a_corrupted_compose_memo_entry(name, monkeypa
 def test_constant_recognizers_have_one_element_of_sort_k(name):
     _, rec = corpus_recognizer(name)
     assert rec.gamma.target.sort_size(rec.rank) == 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_eval_dag_matches_eval_on_every_forest_entry(name):
+    _, rec = corpus_recognizer(name)
+    dag, levels = forest(rec.sigma, rec.rank, 4)
+    values = rec.gamma.eval_dag(dag)
+    assert len(values) == len(dag)
+    assert [values[s] for s in range(len(dag))] == [rec.gamma.eval(e[2]) for e in dag]
+    assert any(levels)
+
+
+# sentences with a binary tree whose children, exchanged, change its verdict
+ASYMMETRIC_NAMES = ("ex05", "ex19", "ex21", "ex22", "ex23", "ex24", "ex25", "ex26",
+                    "ex27", "ex28")
+
+
+@pytest.mark.parametrize("name", ASYMMETRIC_NAMES)
+def test_check_equivalence_catches_a_dag_entry_with_swapped_children(name, monkeypatch):
+    import preclones.compiler as compiler
+
+    phi, rec = corpus_recognizer(name)
+    dag, levels = forest(rec.sigma, rec.rank, 4)
+    values, pre, image = rec.gamma.eval_dag(dag), rec.gamma.target, rec.gamma.image
+
+    def flips(s):
+        label, kids, _, _ = dag[s]
+        if len(kids) != 2 or kids[0] == kids[1]:
+            return False
+        swapped = pre.compose(image[label], (values[kids[1]], values[kids[0]]))
+        return (swapped in rec.accepting) != (values[s] in rec.accepting)
+
+    s = next(s for level in levels for s in level if flips(s))
+    label, kids, t, text = dag[s]
+
+    def corrupted_forest(*args):
+        dag, levels = forest(*args)
+        dag[s] = (label, kids[::-1], t, text)
+        return dag, levels
+
+    monkeypatch.setattr(compiler, "forest", corrupted_forest)
+    rep = check_equivalence(phi, rec, 4)
+    assert (t, {}) in rep.mismatches  # and trees above it, wherever it shows
+
+
+def test_a_closed_quantifier_runs_once_per_node_table(monkeypatch):
+    # ex32 is left[1](z) -> exists x. P[1_0](x): the exists is closed, so it
+    # has one value per tree, however many placements of z the tree has
+    import preclones.logic as logic
+
+    phi, rec = corpus_recognizer("ex32")
+    want = reference_check_equivalence(phi, rec, 5)
+    by_rank, visits = logic._by_rank, []
+
+    def spying(delta, formulas):
+        letters = by_rank(delta, formulas)
+        return {m: lambda n, e, f=letters[m]: visits.append(n) or f(n, e)
+                for m in delta.arities()}
+
+    monkeypatch.setattr(logic, "_by_rank", spying)
+    rep = check_equivalence(phi, rec, 5)
+    assert rep == want
+    tables = list({id(n): n for n in visits}.values())
+    assert len(visits) == sum(len(n.labels) for n in tables)  # one pass per table
+    assert 0 < len(tables) < rep.checked
 

@@ -11,6 +11,7 @@ from preclones.trees import (
     count_nv,
     enumerate_trees,
     factor_at,
+    forest,
     node,
     nv_nodes,
     oplus,
@@ -223,7 +224,33 @@ def test_enumerate_matches_the_composing_reference_on_unary_and_ternary_letters(
 def test_enumerate_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="max_nv must be >= 0, got -1"):
         list(enumerate_trees(SIG, 0, -1))
+    with pytest.raises(ValueError, match="max_nv must be >= 0, got -1"):
+        forest(SIG, 0, -1)
     assert list(enumerate_trees(SIG, 0, 0)) == []
+
+
+FOREST_CASES = [(alph, k, 5) for alph in (SIG, DBOOL, UNARY_TERNARY) for k in (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("alph,k,max_nv", FOREST_CASES)
+def test_forest_levels_match_the_composing_reference(alph, k, max_nv):
+    dag, levels = forest(alph, k, max_nv)
+    assert len(levels) == max_nv + 1
+    got = [dag[s][2] for level in levels for s in level]
+    assert got == list(reference_enumerate_trees(alph, k, max_nv))
+    for nv, level in enumerate(levels):
+        assert all(count_nv(dag[s][2]) == nv for s in level)
+
+
+@pytest.mark.parametrize("alph,k,max_nv", FOREST_CASES)
+def test_forest_entries_are_their_trees_built_once(alph, k, max_nv):
+    dag, _ = forest(alph, k, max_nv)
+    for s, (label, kids, t, text) in enumerate(dag):
+        assert text == tree_to_text(t)
+        assert t.label == label
+        assert all(c < s for c in kids)  # children first
+        assert t.children == tuple(dag[c][2] for c in kids)
+    assert len({t for _, _, t, _ in dag}) == len(dag)
 
 
 def test_unit_axioms_exhaustive():
