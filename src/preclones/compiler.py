@@ -8,14 +8,17 @@ pg-pair of K with a pg-pair recognizing all family languages at once,
 through the block product.  The simultaneous recognizer is obtained from
 the product of its family's automata, one component per family letter,
 minimized and then quotiented by the joint syntactic congruence of its
-accepting and validity subsets, which keeps context tables small.  Every
-carrier is a generated pg-pair built by ``preclone.generated``.
+accepting and validity subsets, which keeps context tables small.  A Q_K
+reads only its family's automata, so carriers are built only for the
+top-level formula and for each Q_K, each a generated pg-pair built by
+``preclone.generated``.
 
 A recognizer's membership test is morphism evaluation into the carrier
 followed by an accepting-set lookup; it is meaningful on structures (each
 free variable occurring exactly once).  Every recognizer also carries a
 companion automaton over the extended alphabet whose language agrees with
-the formula on valid structures; these feed the next quantifier level.
+the formula on valid structures; ``Compiler.automaton`` builds it alone,
+for the next quantifier level.
 """
 
 from __future__ import annotations
@@ -126,12 +129,22 @@ def _atom_automaton(phi, sigma: RankedAlphabet, variables, k: int) -> tuple:
     predicate's own bookkeeping; variable leaves get dedicated states so
     the leaf-inspecting atoms can see them.  Returns
     (automaton-with-sat-finals, valid_finals).
+
+    Every node whose counts hold a 2 goes to one sink state.  This is
+    sound: ``_counts_add`` is monotone and saturates at 2, so every
+    ancestor of such a node holds a 2 too; such a node is never valid
+    (counts all 1) and so never sat-final, and no context leads it to an
+    accepting or valid state.  All these states accept no context, and
+    ``minimize`` would merge them anyway.  The sink carries (0, ..., 0, 2),
+    the least counts holding a 2, so it sorts just before every state it
+    replaces and the minimum is numbered as without it.
     """
     variables = tuple(sorted(variables))
     vpos = {v: i for i, v in enumerate(variables)}
     ext = extend_alphabet(sigma, variables)
     zeros = (0,) * len(variables)
     ones = (1,) * len(variables)
+    dead = ("nv", zeros[1:] + (2,), ())
     letters = _letters(ext, variables)
 
     # state: ("var", j) for a v_j leaf, else ("nv", counts, payload)
@@ -142,8 +155,9 @@ def _atom_automaton(phi, sigma: RankedAlphabet, variables, k: int) -> tuple:
             if s[0] == "nv":
                 counts = _counts_add(counts, s[1])
         counts = _counts_add(counts, extra)
-        payload = _payload(phi, base, zs, child_states, vpos, k)
-        return ("nv", counts, payload)
+        if 2 in counts:
+            return dead  # before _payload, which cannot read the sink's ()
+        return ("nv", counts, _payload(phi, base, zs, child_states, vpos, k))
 
     # a run ends on a "var" state only for the unit tree, which is a valid
     # structure exactly when there are no variables to place; it satisfies
@@ -272,9 +286,10 @@ def compile_atomic(phi, sigma: RankedAlphabet, variables, k: int,
 # products of recognizers
 
 
-def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
-             budget) -> CompiledRecognizer:
-    aut = minimize((union if is_or else intersect)(r1.automaton, r2.automaton))
+def _combine(self, phi, variables) -> CompiledRecognizer:
+    r1, r2 = self.compile(phi.left, variables), self.compile(phi.right, variables)
+    is_or = isinstance(phi, Or)
+    aut = self.automaton(phi, variables)
     if r1.pgpair is r2.pgpair:
         acc = r1.accepting | r2.accepting if is_or else r1.accepting & r2.accepting
         return CompiledRecognizer(
@@ -283,7 +298,7 @@ def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
         )
     prod = direct_product([r1.pgpair.preclone, r2.pgpair.preclone])
     tupled = target_tupling([r1.gamma, r2.gamma], prod)
-    sub = sub_pgpair_generated(prod, list(tupled.image.values()), budget=budget,
+    sub = sub_pgpair_generated(prod, list(tupled.image.values()), budget=self.budget,
                                eval_cap=r1.rank)
     carrier = sub.preclone
     image = {name: carrier.lookup(el[0], el) for name, el in tupled.image.items()}
@@ -310,10 +325,11 @@ def _combine(r1: CompiledRecognizer, r2: CompiledRecognizer, is_or: bool,
     )
 
 
-def _negate(rec: CompiledRecognizer) -> CompiledRecognizer:
+def _negate(self, phi, variables) -> CompiledRecognizer:
+    rec = self.compile(phi.sub, variables)
     return CompiledRecognizer(
         rec.pgpair, rec.gamma, frozenset(rec.valid - rec.accepting), rec.valid,
-        rec.rank, rec.variables, rec.sigma, rec.ext_alphabet, complement(rec.automaton),
+        rec.rank, rec.variables, rec.sigma, rec.ext_alphabet, self.automaton(phi, variables),
     )
 
 
@@ -351,7 +367,7 @@ def _image_closure(T, tau: Morphism, ext, k, W, x):
     return {s for s in states if s[0][0] == k}
 
 
-def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
+def _compile_qk(self, phi: QK, variables) -> CompiledRecognizer:
     sigma, k = self.sigma, self.k
     Y = tuple(sorted(variables))
     x = phi.var
@@ -367,19 +383,19 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
 
     # the language side: syntactic pg-pair of K
     trunc_S = max(k + 1, delta.max_arity, sigma.max_arity)
-    syn = syntactic_pgpair(phi.lang, trunc_S, budget=budget, verify=False)
+    syn = syntactic_pgpair(phi.lang, trunc_S, budget=self.budget, verify=False)
     S = syn.pgpair.preclone
     kappa = syn.morphism.image
     alpha_K = syn.accepting
 
-    # the family side: compile each formula over W and take the product of
-    # their automata; a formula and its negation share one transition
-    # table, so their part of the reachable product is the diagonal
-    recs = {d: self.compile(sub, W, budget) for d, sub in phi.family}
-    order = sorted(recs)
-    joint, tuples = product([recs[d].automaton for d in order])
+    # the family side: the product of the family's automata over W, which
+    # is all Q_K reads of its members; a formula and its negation share one
+    # transition table, so their part of the reachable product is the diagonal
+    auts = {d: self.automaton(sub, W) for d, sub in phi.family}
+    order = sorted(auts)
+    joint, tuples = product([auts[d] for d in order])
     finals_in = [
-        frozenset(i for i, s in enumerate(tuples) if s[j] in recs[d].automaton.finals)
+        frozenset(i for i, s in enumerate(tuples) if s[j] in auts[d].finals)
         for j, d in enumerate(order)
     ]
     joint, finals_out = minimize(joint, finals_in)
@@ -388,7 +404,7 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
     # simultaneous recognizer: transformation pg-pair of the joint automaton
     ext_W = extend_alphabet(sigma, W)
     trunc_T = max(k + 1, sigma.max_arity)
-    res_T = transformation_pgpair(joint, trunc_T, budget=budget)
+    res_T = transformation_pgpair(joint, trunc_T, budget=self.budget)
     T0 = res_T.pgpair.preclone
     tau0 = res_T.morphism
     P0 = {d: frozenset(accepting_elements(res_T, F_delta[d])) for d in order}
@@ -442,7 +458,7 @@ def _compile_qk(self, phi: QK, variables, budget) -> CompiledRecognizer:
 
         gen_keys[name] = bp.make(f_value, tau.image[name])
 
-    carrier_pg = bp.carrier_pgpair(list(gen_keys.values()), budget, eval_cap=k)
+    carrier_pg = bp.carrier_pgpair(list(gen_keys.values()), self.budget, eval_cap=k)
     carrier = carrier_pg.preclone
     image = {name: carrier.lookup(bp.rank_of(key), key) for name, key in gen_keys.items()}
     gamma = Morphism(ext_Y, carrier, image)
@@ -482,46 +498,59 @@ def _carrier_automaton(carrier, gamma, accepting, k, ext) -> TreeAutomaton:
 
 
 class Compiler:
+    """Recognizers and companion automata, each cached on (formula,
+    sorted variables)."""
+
     def __init__(self, sigma: RankedAlphabet, k: int, budget=DEFAULT_BUDGET):
         self.sigma = sigma
         self.k = k
         self.budget = budget
         self._cache = {}
+        self._automata = {}
 
-    def compile(self, phi, variables, budget=None) -> CompiledRecognizer:
-        budget = budget or self.budget
+    def _key(self, phi, variables):
         variables = tuple(sorted(variables))
         missing = free_vars(phi) - set(variables)
         if missing:
             raise ValueError(f"free variables {sorted(missing)} not in {variables}")
-        key = (phi, variables)
+        return phi, variables
+
+    def compile(self, phi, variables) -> CompiledRecognizer:
+        key = self._key(phi, variables)
         got = self._cache.get(key)
         if got is None:
-            got = self._compile(phi, variables, budget)
-            self._cache[key] = got
+            got = self._cache[key] = self._compile(*key)
+            self._automata.setdefault(key, got.automaton)
         return got
 
-    def _compile(self, phi, variables, budget):
+    def automaton(self, phi, variables) -> TreeAutomaton:
+        """The automaton ``compile(phi, variables)`` carries, built without a
+        carrier unless ``phi`` is a Q_K, whose automaton is read off one."""
+        key = self._key(phi, variables)
+        got = self._automata.get(key)
+        if got is None:
+            if isinstance(phi, ATOMS) or isinstance(phi, (TrueF, FalseF)):
+                aut, valid = _atom_automaton(phi, self.sigma, key[1], self.k)
+                got = minimize(aut, [valid])[0]  # as compile_atomic minimizes it
+            elif isinstance(phi, Not):
+                got = complement(self.automaton(phi.sub, key[1]))
+            elif isinstance(phi, (Or, And)):
+                got = minimize((union if isinstance(phi, Or) else intersect)(
+                    self.automaton(phi.left, key[1]), self.automaton(phi.right, key[1])))
+            else:  # a Q_K; _compile rejects what is not a formula
+                got = self.compile(phi, key[1]).automaton
+            self._automata[key] = got
+        return got
+
+    def _compile(self, phi, variables):
         if isinstance(phi, ATOMS) or isinstance(phi, (TrueF, FalseF)):
-            return compile_atomic(phi, self.sigma, variables, self.k, budget)
+            return compile_atomic(phi, self.sigma, variables, self.k, self.budget)
         if isinstance(phi, Not):
-            return _negate(self.compile(phi.sub, variables, budget))
-        if isinstance(phi, Or):
-            return _combine(
-                self.compile(phi.left, variables, budget),
-                self.compile(phi.right, variables, budget),
-                True,
-                budget,
-            )
-        if isinstance(phi, And):
-            return _combine(
-                self.compile(phi.left, variables, budget),
-                self.compile(phi.right, variables, budget),
-                False,
-                budget,
-            )
+            return _negate(self, phi, variables)
+        if isinstance(phi, (Or, And)):
+            return _combine(self, phi, variables)
         if isinstance(phi, QK):
-            return _compile_qk(self, phi, variables, budget)
+            return _compile_qk(self, phi, variables)
         raise TypeError(f"not a formula: {phi!r}")
 
 

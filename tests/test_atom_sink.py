@@ -128,6 +128,13 @@ def test_unary_ternary_atom_automaton_matches_the_sink_free_reference(phi, Y):
     assert same_minimum(new, reference_atom_automaton(phi, UNARY_TERNARY, Y, 1))
 
 
+def test_left_1_over_two_variables_builds_twenty_states():
+    # the sink-free reference builds 46 states here, in seconds
+    aut, valid = compiler._atom_automaton(LeftJ(1, "x"), UNARY_TERNARY, ("x", "y"), 1)
+    assert aut.n_states == 20
+    assert minimize(aut, [valid])[0].n_states == 13
+
+
 MUTATIONS = {
     # the sink is put in the valid set
     "sink_marked_valid": dict(sink=lambda counts: 2 in counts, sink_valid=True),

@@ -4,7 +4,16 @@ import os
 
 import pytest
 
-from preclones.automata import boolean_alphabet, k_exists, k_path
+from preclones.automata import (
+    automaton_equal,
+    boolean_alphabet,
+    complement,
+    intersect,
+    k_exists,
+    k_path,
+    minimize,
+    union,
+)
 from preclones.cli import load_formula_file
 from preclones.compiler import (
     CompiledRecognizer,
@@ -269,11 +278,13 @@ def test_compiler_cache_shares_recognizers():
 
 def test_compiler_cache_shares_family_copies():
     # ex04 is exists x. exists y. ...: the inner quantifier's four family
-    # copies are one formula, compiled once
+    # copies are one formula, whose automaton is built once; only the two
+    # quantifiers build a carrier
     phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, "ex04.lind"))
     comp = Compiler(sigma, k)
     comp.compile(phi, ())
-    assert len(comp._cache) <= 7
+    assert len(comp._automata) <= 7
+    assert all(isinstance(f, QK) for f, _ in comp._cache) and len(comp._cache) == 2
 
 
 def test_compiler_cache_shares_equal_sugared_quantifiers():
@@ -495,3 +506,72 @@ def test_a_closed_quantifier_runs_once_per_node_table(monkeypatch):
     assert len(visits) == sum(len(n.labels) for n in tables)  # one pass per table
     assert 0 < len(tables) < rep.checked
 
+
+
+# -- companion automata without carriers ------------------------------------------
+
+
+def corpus_compiler(name):
+    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+    comp = Compiler(sigma, k)
+    comp.compile(phi, tuple(sorted(free_vars(phi))))
+    return comp
+
+
+def built_without_a_carrier(comp):
+    return [key for key in comp._automata if key not in comp._cache]
+
+
+def reference_companion(sigma, k, phi, W):
+    """The companion automaton as each recognizer built its own: the atom's
+    from compile_atomic, the complement, the minimized union or
+    intersection of the parts', and a Q_K's off its carrier."""
+    if isinstance(phi, Not):
+        return complement(reference_companion(sigma, k, phi.sub, W))
+    if isinstance(phi, (Or, And)):
+        combine = union if isinstance(phi, Or) else intersect
+        return minimize(combine(reference_companion(sigma, k, phi.left, W),
+                                reference_companion(sigma, k, phi.right, W)))
+    if isinstance(phi, QK):
+        return Compiler(sigma, k).compile(phi, W).automaton
+    return compile_atomic(phi, sigma, W, k).automaton
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_automaton_recursion_matches_the_compiled_companion(name):
+    # every automaton a Q_K family reads without compiling its member is
+    # the automaton that compiling the member gives, and the one each
+    # recognizer built for itself
+    comp = corpus_compiler(name)
+    for phi, W in built_without_a_carrier(comp):
+        got = comp._automata[phi, W]
+        assert automaton_equal(got, Compiler(comp.sigma, comp.k).compile(phi, W).automaton)
+        assert automaton_equal(got, reference_companion(comp.sigma, comp.k, phi, W))
+
+
+def test_corpus_compiles_build_only_the_carriers_they_read(monkeypatch):
+    # the top-level formula and each Q_K build a carrier, and a Q_K builds
+    # its simultaneous recognizer; a carrier of a family member is never read
+    import preclones.blockprod as blockprod
+    import preclones.compiler as compiler
+    import preclones.preclone as preclone
+    import preclones.syntactic as syntactic
+
+    calls = {"generated": 0, "transformation_pgpair": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    generated = counting("generated", preclone.generated)
+    monkeypatch.setattr(preclone, "generated", generated)
+    monkeypatch.setattr(blockprod, "generated", generated)
+    tpg = counting("transformation_pgpair", preclone.transformation_pgpair)
+    monkeypatch.setattr(compiler, "transformation_pgpair", tpg)
+    monkeypatch.setattr(syntactic, "transformation_pgpair", tpg)
+    automata_only = sum(len(built_without_a_carrier(corpus_compiler(name)))
+                        for name in CORPUS_NAMES)
+    assert calls == {"generated": 116, "transformation_pgpair": 76}
+    assert automata_only == 106
