@@ -328,7 +328,7 @@ def test_rank_mismatch_rejected():
 def test_joint_context_partition_is_a_congruence(k):
     # the compiler quotients its simultaneous recognizer without the full
     # verification pass; replay the pipeline here with verification on
-    from preclones.automata import minimize, product
+    from preclones.automata import product
     from preclones.preclone import (
         accepting_elements,
         quotient,
@@ -505,7 +505,6 @@ def test_a_closed_quantifier_runs_once_per_node_table(monkeypatch):
     tables = list({id(n): n for n in visits}.values())
     assert len(visits) == sum(len(n.labels) for n in tables)  # one pass per table
     assert 0 < len(tables) < rep.checked
-
 
 
 # -- companion automata without carriers ------------------------------------------
