@@ -35,7 +35,7 @@ from preclones.syntactic import (
     syntactic_congruence,
     syntactic_pgpair,
 )
-from preclones.trees import alphabet, enumerate_trees, oplus
+from preclones.trees import alphabet, compositions, enumerate_trees, oplus
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 DBOOL = boolean_alphabet([0, 2])
@@ -172,12 +172,38 @@ def test_find_isomorphism_rejects_different():
 # the congruence against the per-context signature walk it replaced
 
 
+def reference_contexts(T, k, n):
+    """The n-ary contexts in sort k, by their own walk: the reference must
+    not share the library's enumeration, or a mutation there would reach
+    both sides."""
+    if k + 1 > T.trunc:
+        raise RankOverflow(f"contexts in sort {k} need truncation >= {k + 1}")
+    out = []
+    for k1 in range(k + 1):
+        for k2 in range(k - k1 + 1):
+            ell = k - k1 - k2
+            if n == 0 and ell != 0:
+                continue
+            vs = []
+            for ranks in compositions(ell, n):
+                pools = [T.sort(r) for r in ranks]
+                if any(not p for p in pools):
+                    continue
+                vs.extend(itertools.product(*pools))
+            if not vs:
+                continue
+            for u in T.sort(k1 + 1 + k2):
+                for v in vs:
+                    out.append(Context(u, k1, tuple(v), k2))
+    return out
+
+
 def reference_congruence(T, k, P, extra_sets=()):
     """The former walk: one insert_in_context per (element, context)."""
     sets = [frozenset(P)] + [frozenset(s) for s in extra_sets]
     blocks_by_rank = []
     for n in range(T.trunc + 1):
-        ctxs = enumerate_contexts(T, k, n)
+        ctxs = reference_contexts(T, k, n)
         groups = {}
         for f in T.sort(n):
             sig = tuple(tuple(insert_in_context(T, f, c) in s for s in sets) for c in ctxs)
@@ -219,6 +245,15 @@ def test_congruence_matches_the_context_walk_on_the_paper_preclones(make):
             assert syntactic_congruence(S, k, P) == reference_congruence(S, k, P)
         assert (syntactic_congruence(S, k, every[1], every[2:])
                 == reference_congruence(S, k, every[1], every[2:]))
+
+
+@pytest.mark.parametrize("make", [lambda: t_exists(3), lambda: t_mod(2, 3), lambda: t_mod(3, 3)],
+                         ids=["t_exists", "t_2", "t_3"])
+def test_enumerate_contexts_matches_its_own_walk(make):
+    S = make().preclone
+    for k in range(S.trunc):
+        for n in range(S.trunc + 1):
+            assert enumerate_contexts(S, k, n) == reference_contexts(S, k, n)
 
 
 @pytest.mark.parametrize("name", ["k_exists0", "k_mod_2_0", "k_mod_2_1", "k_mod_3_1"])
