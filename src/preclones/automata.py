@@ -27,6 +27,7 @@ from .trees import (
     RankedTree,
     compositions,
     enumerate_trees,
+    fold,
     rank,
     total_rank,
     unit_tuple,
@@ -56,15 +57,19 @@ class TreeAutomaton:
 
     def run(self, t: RankedTree) -> int:
         """Bottom-up evaluation; v_j leaves map to var_state[j-1]."""
-        if t.is_var():
-            if not 1 <= t.label <= self.rank:
-                raise ValueError(f"variable v{t.label} outside rank {self.rank}")
-            return self.var_state[t.label - 1]
-        states = tuple(self.run(c) for c in t.children)
-        try:
-            return self.transitions[t.label][states]
-        except KeyError:
-            raise ValueError(f"symbol {t.label!r} not in automaton alphabet") from None
+
+        def leaf(j):
+            if not 1 <= j <= self.rank:
+                raise ValueError(f"variable v{j} outside rank {self.rank}")
+            return self.var_state[j - 1]
+
+        def node(name, states):
+            try:
+                return self.transitions[name][states]
+            except KeyError:
+                raise ValueError(f"symbol {name!r} not in automaton alphabet") from None
+
+        return fold(t, leaf, node)
 
     def accepts(self, t: RankedTree) -> bool:
         return self.run(t) in self.finals
@@ -307,19 +312,10 @@ def left_quotient(a: TreeAutomaton, u: RankedTree, k1: int, k2: int) -> TreeAuto
     if rank(u) != k1 + 1 + k2:
         raise ValueError(f"context tree has rank {rank(u)}, expected {k1 + 1 + k2}")
     new_rank = k - k1 - k2
-
-    def eval_u(t, hole_state):
-        if t.is_var():
-            j = t.label
-            if j <= k1:
-                return a.var_state[j - 1]
-            if j == k1 + 1:
-                return hole_state
-            return a.var_state[k1 + new_rank + (j - k1 - 2)]
-        states = tuple(eval_u(c, hole_state) for c in t.children)
-        return a.transitions[t.label][states]
-
-    finals = frozenset(q for q in range(a.n_states) if eval_u(u, q) in a.finals)
+    left, right = a.var_state[:k1], a.var_state[k1 + new_rank :]
+    finals = frozenset(
+        q for q in range(a.n_states) if _eval(a, u, left + (q,) + right) in a.finals
+    )
     var_state = tuple(a.var_state[k1 + j] for j in range(new_rank))
     return TreeAutomaton(a.alphabet, new_rank, a.n_states, var_state, a.transitions, finals)
 
@@ -330,21 +326,19 @@ def right_quotient(a: TreeAutomaton, v) -> TreeAutomaton:
     k = a.rank
     if total_rank(v) != k:
         raise ValueError(f"tuple has total rank {total_rank(v)}, expected {k}")
-
-    def eval_component(t, offset):
-        if t.is_var():
-            return a.var_state[offset + t.label - 1]
-        states = tuple(eval_component(c, offset) for c in t.children)
-        return a.transitions[t.label][states]
-
     var_state = []
     offset = 0
     for comp in v:
-        var_state.append(eval_component(comp, offset))
+        var_state.append(_eval(a, comp, a.var_state[offset:]))
         offset += rank(comp)
     return TreeAutomaton(
         a.alphabet, len(v), a.n_states, tuple(var_state), a.transitions, a.finals
     )
+
+
+def _eval(a: TreeAutomaton, t: RankedTree, var_state) -> int:
+    """a's state at t when each v_j leaf is in var_state[j-1]."""
+    return fold(t, lambda j: var_state[j - 1], lambda name, qs: a.transitions[name][qs])
 
 
 def quotient_membership(a: TreeAutomaton, u, k1, k2, f) -> bool:
@@ -482,6 +476,7 @@ def automaton_from_text(text: str) -> TreeAutomaton:
     var_entries = {}
     trans = {}
     order = []
+    named = []  # (line, state) of every state a line names
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -495,8 +490,10 @@ def automaton_from_text(text: str) -> TreeAutomaton:
                 n_states = int(parts[1])
             elif kw == "finals":
                 finals = frozenset(int(p) for p in parts[1:])
+                named += [(lineno, q) for q in finals]
             elif kw == "var":
                 var_entries[int(parts[1])] = int(parts[2])
+                named.append((lineno, int(parts[2])))
             elif kw == "trans":
                 arrow = parts.index("->")
                 name = parts[1]
@@ -508,12 +505,16 @@ def automaton_from_text(text: str) -> TreeAutomaton:
                 if combo in trans[name]:
                     raise ParseError(f"line {lineno}: duplicate transition")
                 trans[name][combo] = target
+                named += [(lineno, q) for q in combo + (target,)]
             else:
                 raise ParseError(f"line {lineno}: unknown keyword {kw!r}")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if rank_k is None or n_states is None or finals is None:
         raise ParseError("missing rank/states/finals line")
+    for lineno, q in named:  # the states line may come after these
+        if not 0 <= q < n_states:
+            raise ParseError(f"line {lineno}: state {q} outside 0..{n_states - 1}")
     var_state = tuple(var_entries.get(j + 1, -1) for j in range(rank_k))
     if any(q < 0 for q in var_state):
         raise ParseError("missing var line")

@@ -12,7 +12,8 @@ context by stacking, C.D (``syntactic.stack_contexts``):
   (c.A_i).B_i, for holes O, A_i, B_i built from (f, gs) alone;
 - the morphism of a context C reads F at C.D;
 - relabelling reads each letter's table at D.H, H the hole that the
-  node's factorization leaves in the tree's image in T.
+  node's factorization leaves in the tree's image in T; a top-down walk
+  builds each node's hole from its parent's.
 
 The derived indices depend only on T-side data and the holes, so all
 three read one cache, ``BlockProduct.column``: for a path of holes, the
@@ -39,7 +40,7 @@ from .preclone import (
     generated,
 )
 from .syntactic import Context, context_blocks, enumerate_contexts, stack_under
-from .trees import RankedTree, factor_at, rank as tree_rank
+from .trees import RankedTree, fold, rank as tree_rank
 
 
 class BlockProduct:
@@ -61,10 +62,9 @@ class BlockProduct:
         self.contexts = [enumerate_contexts(T, k, n) for n in range(self.trunc + 1)]
         self.ctx_index = [{c: i for i, c in enumerate(cs)} for cs in self.contexts]
         # per width, (k1, k2) -> (offset, {v: position}); see column
-        self._blocks = [{} for _ in self.contexts]
-        for blocks, cs in zip(self._blocks, self.contexts):
-            for k1, k2, offset, vs in context_blocks(T, cs):
-                blocks[k1, k2] = (offset, {v: i for i, v in enumerate(vs)})
+        self._blocks = [{(k1, k2): (offset, {v: i for i, v in enumerate(vs)})
+                         for k1, k2, offset, vs in context_blocks(T, k, n)}
+                        for n in range(self.trunc + 1)]
         self._columns = {}  # path of holes -> index column, see column
         self._plans = {}  # (f, gs) -> a gather per table compose reads
 
@@ -190,10 +190,8 @@ class BlockProduct:
 
     def eval_tree(self, gamma, t: RankedTree):
         """Homomorphic evaluation of a tree whose labels index ``gamma``."""
-        if t.is_var():
-            return self.unit_key()
-        kids = [self.eval_tree(gamma, c) for c in t.children]
-        return self.compose(gamma[t.label], kids)
+        unit = self.unit_key()
+        return fold(t, lambda _: unit, lambda name, kids: self.compose(gamma[name], kids))
 
     # -- carrier as a preclone --------------------------------------------------
 
@@ -359,34 +357,39 @@ def relabel(t: RankedTree, D: Context, gamma, tau: Morphism, bp: BlockProduct):
     A node labelled sigma factors t as f_tree . (r1 units + sigma(children)
     + r3 units), which leaves the hole H = (tau(f_tree), r1, tau(children),
     r3) in sort rank(t); the node's label is F_sigma(D.H), read at entry
-    D of H's column.  D.H is in sort k, so needs no more truncation.
+    D of H's column.  D.H is in sort k, so needs no more truncation.  The
+    walk is top-down: the root's head tau(f_tree) is T's unit, and child
+    i's is its parent's with tau(sigma) . (the siblings' values, a unit at
+    i) plugged in between r1 and r3, by T's unit and associativity laws.
+    Every intermediate has rank at most rank(t)+1, the bound that contexts
+    in sort rank(t) already need.
     """
     d = bp.ctx_index[tree_rank(t)].get(D)
     if d is None:
         raise ValueError("context does not match the tree's rank")
+    T = bp.T
+    # every subtree's tau-value, paired with its children's pairs
+    values = fold(t, lambda _: (T.unit, ()),
+                  lambda name, kids: (T.compose(tau(name), [v for v, _ in kids]), kids))
 
-    def label_for(path):
-        f_tree, r1, g_sub, r3 = factor_at(t, path)
-        hole = Context(
-            tau.eval(f_tree), r1, tuple(tau.eval(c) for c in g_sub.children), r3
-        )
-        F_sigma, _ = gamma[g_sub.label]
-        return F_sigma[bp.column(hole)[d]]
+    def walk(s, kids, head, r1):
+        vals, r3 = [v for v, _ in kids], head[0] - 1 - r1
+        label = gamma[s.label][0][bp.column(Context(head, r1, tuple(vals), r3))[d]]
+        out, left = [], r1
+        for i, (c, (v, grandkids)) in enumerate(zip(s.children, kids)):
+            if not c.is_var():
+                x = T.compose(tau(s.label), vals[:i] + [T.unit] + vals[i + 1 :])
+                c = walk(c, grandkids, T.plug(head, r1, x, r3), left)
+            out.append(c)
+            left += v[0]
+        return RankedTree(label, tuple(out))
 
-    def walk(s, path):
-        if s.is_var():
-            return s
-        kids = tuple(walk(c, path + (i,)) for i, c in enumerate(s.children))
-        return RankedTree(label_for(path), kids)
-
-    return walk(t, ())
+    return t if t.is_var() else walk(t, values[1], T.unit, 0)
 
 
 def eval_labels(S: FinitaryPreclone, t: RankedTree):
     """Evaluate a tree whose NV labels are S-element handles."""
-    if t.is_var():
-        return S.unit
-    return S.compose(t.label, [eval_labels(S, c) for c in t.children])
+    return fold(t, lambda _: S.unit, S.compose)
 
 
 def eval_two_ways(bp: BlockProduct, gamma, tau: Morphism, t: RankedTree, D: Context):

@@ -33,6 +33,7 @@ from .trees import (
     RankedAlphabet,
     RankedTree,
     enumerate_trees,
+    fold,
     forest,
     nv_nodes,
     replace_at,
@@ -542,9 +543,7 @@ def inverse_literal_image(phi, h: dict, source: RankedAlphabet, target: RankedAl
 
 
 def apply_literal_morphism(t: RankedTree, h: dict) -> RankedTree:
-    if t.is_var():
-        return t
-    return RankedTree(h[t.label], tuple(apply_literal_morphism(c, h) for c in t.children))
+    return fold(t, RankedTree, lambda name, kids: RankedTree(h[name], kids))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .automata import explore
 from .errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow
-from .trees import RankedAlphabet, RankedTree, compositions
+from .trees import RankedAlphabet, RankedTree, compositions, fold
 
 El = tuple  # (rank, index)
 
@@ -221,10 +221,8 @@ class Morphism:
         return self.image[name]
 
     def eval(self, t: RankedTree) -> El:
-        if t.is_var():
-            return self.target.unit
-        imgs = [self.eval(c) for c in t.children]
-        return self.target.compose(self.image[t.label], imgs)
+        unit, image, compose = self.target.unit, self.image, self.target.compose
+        return fold(t, lambda _: unit, lambda name, imgs: compose(image[name], imgs))
 
     def eval_nodes(self, letters, kids, rank) -> El:
         """``eval`` of a rank-``rank`` tree whose i-th symbol node in preorder has

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .automata import minimize
 from .errors import RankOverflow
 from .preclone import (
+    DEFAULT_BUDGET,
     FinitaryPreclone,
     Morphism,
     PgPair,
@@ -36,41 +37,35 @@ class Context(NamedTuple):
 
 
 def enumerate_contexts(T: FinitaryPreclone, k: int, n: int):
-    """All n-ary contexts in sort k over T's carrier, deterministic order.
+    """All n-ary contexts in sort k over T's carrier, deterministic order:
+    the blocks of ``context_blocks`` one after another."""
+    return [
+        Context(u, k1, v, k2)
+        for k1, k2, _, vs in context_blocks(T, k, n)
+        for u in T.sort(k1 + 1 + k2)
+        for v in vs
+    ]
+
+
+def context_blocks(T: FinitaryPreclone, k: int, n: int):
+    """(k1, k2, offset, vs) per (k1, k2) block of the n-ary contexts in sort
+    k.  A block lists u-major over u in T.sort(k1+1+k2) and v in vs (the
+    width-n tuples of total rank k-k1-k2), from offset on; a block with no
+    u or no v has no context and is left out.
 
     Requires the truncation to reach rank k+1 so every u-shape exists.
     """
     if k + 1 > T.trunc:
         raise RankOverflow(f"contexts in sort {k} need truncation >= {k + 1}")
-    out = []
+    sorts, offset = [T.sort(r) for r in range(k + 2)], 0
     for k1 in range(k + 1):
         for k2 in range(k - k1 + 1):
-            ell = k - k1 - k2
-            if n == 0 and ell != 0:
-                continue
-            vs = []
-            for ranks in compositions(ell, n):
-                pools = [T.sort(r) for r in ranks]
-                if any(not p for p in pools):
-                    continue
-                vs.extend(itertools.product(*pools))
-            if not vs:
-                continue
-            for u in T.sort(k1 + 1 + k2):
-                for v in vs:
-                    out.append(Context(u, k1, tuple(v), k2))
-    return out
-
-
-def context_blocks(T: FinitaryPreclone, ctxs):
-    """(k1, k2, offset, vs) per block of an ``enumerate_contexts`` list,
-    which lists each (k1, k2) block u-major over u in T.sort(k1+1+k2) and
-    v in one list vs, starting at offset."""
-    offset = 0
-    for (k1, k2), block in itertools.groupby(ctxs, itemgetter(1, 3)):  # (c.k1, c.k2)
-        block = list(block)
-        yield k1, k2, offset, [c.v for c in block[: len(block) // T.sort_size(k1 + 1 + k2)]]
-        offset += len(block)
+            vs = [v for ranks in compositions(k - k1 - k2, n)
+                  for v in itertools.product(*map(sorts.__getitem__, ranks))]
+            size = len(sorts[k1 + 1 + k2]) * len(vs)
+            if size:
+                yield k1, k2, offset, vs
+                offset += size
 
 
 def insert_in_context(T: FinitaryPreclone, f, c: Context):
@@ -133,7 +128,7 @@ def syntactic_congruence(T: FinitaryPreclone, k: int, P, extra_sets=()):
     member = [tuple(w in s for s in sets) for w in T.sort(k)]
     blocks_by_rank = []
     for n in range(T.trunc + 1):
-        ctx_blocks = list(context_blocks(T, enumerate_contexts(T, k, n)))
+        ctx_blocks = list(context_blocks(T, k, n))
         groups = {}
         for f in T.sort(n):
             sig = []
@@ -156,7 +151,7 @@ class SyntacticResult:
     projection: dict  # recognizer element -> quotient element
 
 
-def syntactic_pgpair(automaton, trunc, budget=None, verify=True) -> SyntacticResult:
+def syntactic_pgpair(automaton, trunc, budget=DEFAULT_BUDGET, verify=True) -> SyntacticResult:
     """Syntactic pg-pair of the rank-k language of ``automaton``.
 
     Pipeline: minimize the automaton, take its transformation pg-pair,
@@ -168,8 +163,7 @@ def syntactic_pgpair(automaton, trunc, budget=None, verify=True) -> SyntacticRes
     if trunc < k + 1 or trunc < automaton.alphabet.max_arity:
         raise RankOverflow("need truncation >= k+1 and >= max arity")
     a = minimize(automaton)
-    kwargs = {} if budget is None else {"budget": budget}
-    res = transformation_pgpair(a, trunc, **kwargs)
+    res = transformation_pgpair(a, trunc, budget)
     S = res.pgpair.preclone
     P = accepting_elements(res)
     blocks = syntactic_congruence(S, k, P)

@@ -110,11 +110,23 @@ def node(label, *children):
     return RankedTree(label, tuple(children))
 
 
+def fold(t: RankedTree, leaf, node):
+    """The value of t with each leaf v_j valued leaf(j) and each NV node
+    node(label, (child values)), bottom-up, children left to right; so
+    ``fold(t, RankedTree, RankedTree) == t``.
+
+    Trees with variable leaves form the free preclone, so every value of
+    a tree (rank, text, an automaton run, a morphism into a preclone) is
+    this extension of a map on letters.
+    """
+    if isinstance(t.label, int):
+        return leaf(t.label)
+    return node(t.label, tuple([fold(c, leaf, node) for c in t.children]))
+
+
 def rank(t: RankedTree) -> int:
     """Number of variable leaves of t."""
-    if t.is_var():
-        return 1
-    return sum(rank(c) for c in t.children)
+    return fold(t, lambda _: 1, lambda _, ranks: sum(ranks))
 
 
 def total_rank(ts) -> int:
@@ -133,12 +145,7 @@ def unit_tuple(n) -> tuple[RankedTree, ...]:
 
 def variables_in_order(t: RankedTree):
     """Variable indices on the frontier, left to right."""
-    if t.is_var():
-        return [t.label]
-    out = []
-    for c in t.children:
-        out.extend(variables_in_order(c))
-    return out
+    return fold(t, lambda j: [j], lambda _, kids: [j for vs in kids for j in vs])
 
 
 def validate(t: RankedTree, alph: RankedAlphabet, expect_rank=None):
@@ -169,9 +176,7 @@ def validate(t: RankedTree, alph: RankedAlphabet, expect_rank=None):
 def shift_vars(t: RankedTree, offset: int) -> RankedTree:
     if offset == 0:
         return t
-    if t.is_var():
-        return RankedTree(t.label + offset)
-    return RankedTree(t.label, tuple(shift_vars(c, offset) for c in t.children))
+    return fold(t, lambda j: RankedTree(j + offset), RankedTree)
 
 
 def compose(f: RankedTree, gs) -> RankedTree:
@@ -184,16 +189,8 @@ def compose(f: RankedTree, gs) -> RankedTree:
     gs = tuple(gs)
     if rank(f) != len(gs):
         raise ValueError(f"compose width mismatch: rank {rank(f)} vs {len(gs)} trees")
-    offsets = [0]
-    for g in gs:
-        offsets.append(offsets[-1] + rank(g))
-
-    def subst(s):
-        if s.is_var():
-            return shift_vars(gs[s.label - 1], offsets[s.label - 1])
-        return RankedTree(s.label, tuple(subst(c) for c in s.children))
-
-    return subst(f)
+    offsets = list(itertools.accumulate(map(rank, gs), initial=0))
+    return fold(f, lambda j: shift_vars(gs[j - 1], offsets[j - 1]), RankedTree)
 
 
 def symbol_tree(name: str, arity: int) -> RankedTree:
@@ -271,11 +268,7 @@ def vars_left_of(t, path):
 
 
 def _renumber_after(t, keep, delta):
-    if t.is_var():
-        if t.label > keep:
-            return RankedTree(t.label + delta)
-        return t
-    return RankedTree(t.label, tuple(_renumber_after(c, keep, delta) for c in t.children))
+    return fold(t, lambda j: RankedTree(j + delta if j > keep else j), RankedTree)
 
 
 def recompose(r, k1, s, k2):
@@ -288,11 +281,8 @@ def recompose(r, k1, s, k2):
 
 
 def tree_to_text(t: RankedTree) -> str:
-    if t.is_var():
-        return f"v{t.label}"
-    if not t.children:
-        return str(t.label)
-    return f"{t.label}({','.join(tree_to_text(c) for c in t.children)})"
+    return fold(t, "v{}".format,
+                lambda label, texts: f"{label}({','.join(texts)})" if texts else str(label))
 
 
 class _TreeParser:
@@ -440,6 +430,4 @@ def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
 
 
 def count_nv(t: RankedTree) -> int:
-    if t.is_var():
-        return 0
-    return 1 + sum(count_nv(c) for c in t.children)
+    return fold(t, lambda _: 0, lambda _, counts: 1 + sum(counts))

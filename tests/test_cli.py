@@ -92,6 +92,27 @@ def test_syntactic_rank_mismatch(capsys):
     assert code == 2
 
 
+# a rank-1 automaton over a/0, g/1, and edits that name a state outside 0..1
+RANK1_AUT = "rank 1\nstates 2\nfinals 1\nvar 1 0\ntrans a -> 0\ntrans g 0 -> 1\ntrans g 1 -> 1\n"
+OUT_OF_RANGE = {
+    "target": ("trans a -> 0", "trans a -> 5", "line 5: state 5 outside 0..1"),
+    "var": ("var 1 0", "var 1 9", "line 4: state 9 outside 0..1"),
+    "finals": ("finals 1", "finals 7", "line 3: state 7 outside 0..1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_syntactic_rejects_a_state_outside_the_declared_states(tmp_path, capsys, case):
+    old, new, message = OUT_OF_RANGE[case]
+    path = tmp_path / "bad.aut"
+    path.write_text(RANK1_AUT.replace(old, new))
+    code, out, err = run(capsys, "syntactic", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    path.write_text(RANK1_AUT)
+    assert run(capsys, "syntactic", str(path))[0] == 0
+
+
 def test_syntactic_empty_language(tmp_path, capsys):
     from preclones.automata import boolean_alphabet, complement, intersect, k_exists, save_automaton
 

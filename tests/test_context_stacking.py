@@ -2,7 +2,8 @@
 
 (a) the stacking laws, exhaustively over small contexts;
 (b) BlockProduct.compose against a direct per-context rewrite, and
-    alpha_context_morphism and relabel against direct stacking;
+    alpha_context_morphism and relabel against direct stacking, which
+    also catches a relabel whose top-down child head is wrong;
 (c) a corrupted column entry is caught by each comparison of (b);
 (d) every column that the benchmark's block-product job shapes and the
     depth-2 corpus compiles cache equals stacking and hashing;
@@ -10,13 +11,15 @@
     one- and no-entry gathers agree with the direct rewrite.
 """
 
+import inspect
 import itertools
 import os
 import random
+import textwrap
 
 import pytest
 
-from preclones import compiler
+from preclones import blockprod, compiler
 from preclones.automata import TreeAutomaton
 from preclones.blockprod import (
     BlockProduct,
@@ -330,6 +333,36 @@ def test_relabel_matches_direct_stacking(k, name):
     sweep = RelabelSweep(PRECLONES[name](), k, 12, 43 + k)
     assert sweep.mismatches() == []
     assert set(sweep.bp._columns) == {(h,) for h in sweep.tree_of}
+
+
+# relabel's child head with the siblings' values or the hole's slot lost
+CHILD_HEAD = "vals[:i] + [T.unit] + vals[i + 1 :]"
+HEAD_MUTATIONS = {
+    "siblings-as-units": "[T.unit] * len(vals)",
+    "rank-1-siblings-as-units": "[T.unit if j == i or v[0] == 1 else v for j, v in enumerate(vals)]",
+    "hole-first": "[T.unit] + vals[:i] + vals[i + 1 :]",
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HEAD_MUTATIONS))
+def test_a_wrong_child_head_fails_the_factor_at_reference(mutation):
+    source = textwrap.dedent(inspect.getsource(blockprod.relabel))
+    assert source.count(CHILD_HEAD) == 1
+    namespace = dict(vars(blockprod))
+    exec(source.replace(CHILD_HEAD, HEAD_MUTATIONS[mutation]), namespace)
+    mutant = namespace["relabel"]
+    caught = 0
+    for name in ("t_exists", "t_left"):
+        for k in (0, 1):
+            sweep = RelabelSweep(PRECLONES[name](), k, 12, 43 + k)
+            for t in sweep.trees:
+                for D in sweep.bp.contexts[tree_rank(t)]:
+                    args = (t, D, sweep.gamma, sweep.tau, sweep.bp)
+                    try:
+                        caught += mutant(*args) != reference_relabel(*args)
+                    except ValueError:  # a head of the wrong rank
+                        caught += 1
+    assert caught
 
 
 def test_alpha_rejects_a_context_outside_the_source_product():

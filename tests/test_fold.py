@@ -21,6 +21,7 @@ from preclones.trees import (
     compose,
     count_nv,
     enumerate_trees,
+    fold,
     load_alphabet,
     rank,
     shift_vars,
@@ -121,6 +122,16 @@ def reference_run(a, t):
 
 # ---------------------------------------------------------------------------
 # each function equals its reference
+
+
+def rebuild(label, kids):
+    return RankedTree(label, tuple(kids))
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_fold_with_the_constructors_rebuilds_the_tree(name, k):
+    for t in trees_of(name, k):
+        assert fold(t, RankedTree, rebuild) == t
 
 
 @pytest.mark.parametrize("name,k", CASES)

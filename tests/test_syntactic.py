@@ -275,7 +275,7 @@ def test_congruence_matches_the_context_walk_on_compiles(monkeypatch, name):
 BLOCK_WALK_MUTATIONS = {
     "first-u-only": ("syntactic_congruence", "for u in T.sort(k1 + 1 + k2):",
                      "for u in T.sort(k1 + 1 + k2)[:1]:"),
-    "first-v-only": ("context_blocks", "len(block) // T.sort_size(k1 + 1 + k2)", "1"),
+    "first-v-only": ("context_blocks", "yield k1, k2, offset, vs", "yield k1, k2, offset, vs[:1]"),
 }
 
 
