@@ -28,6 +28,7 @@ from preclones.preclone import (
 )
 from preclones.syntactic import (
     Context,
+    context_blocks,
     enumerate_contexts,
     find_isomorphism,
     insert_in_context,
@@ -60,6 +61,8 @@ def test_enumerate_contexts_empty_when_no_rank_fits():
     tiny = FinitaryPreclone(2, _transformation_compose, None)
     tiny.set_unit(tiny.intern(1, identity_key(2)))
     assert enumerate_contexts(tiny, 0, 1) == []  # sort 0 empty
+    # sort 2 empty: the (0, 1) and (1, 0) blocks have v = () but no u
+    assert list(context_blocks(tiny, 1, 0)) == [] == reference_contexts(tiny, 1, 0)
 
 
 def test_enumerate_contexts_requires_room_for_u():
