@@ -473,9 +473,8 @@ def automaton_from_text(text: str) -> TreeAutomaton:
     rank_k = None
     n_states = None
     finals = None
-    var_entries = {}
-    trans = {}
-    order = []
+    var_entries, trans, arity = {}, {}, {}
+    once = {}  # the rank, states, finals and var j lines: key -> line
     named = []  # (line, state) of every state a line names
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -484,6 +483,9 @@ def automaton_from_text(text: str) -> TreeAutomaton:
         parts = line.split()
         kw = parts[0]
         try:
+            key = f"var {int(parts[1])}" if kw == "var" else kw
+            if kw != "trans" and once.setdefault(key, lineno) != lineno:
+                raise ParseError(f"line {lineno}: a second {key} line")
             if kw == "rank":
                 rank_k = int(parts[1])
             elif kw == "states":
@@ -499,10 +501,9 @@ def automaton_from_text(text: str) -> TreeAutomaton:
                 name = parts[1]
                 combo = tuple(int(p) for p in parts[2:arrow])
                 target = int(parts[arrow + 1])
-                if name not in trans:
-                    trans[name] = {}
-                    order.append((name, len(combo)))
-                if combo in trans[name]:
+                if arity.setdefault(name, len(combo)) != len(combo):
+                    raise ParseError(f"line {lineno}: {name} already has arity {arity[name]}")
+                if combo in trans.setdefault(name, {}):
                     raise ParseError(f"line {lineno}: duplicate transition")
                 trans[name][combo] = target
                 named += [(lineno, q) for q in combo + (target,)]
@@ -515,10 +516,12 @@ def automaton_from_text(text: str) -> TreeAutomaton:
     for lineno, q in named:  # the states line may come after these
         if not 0 <= q < n_states:
             raise ParseError(f"line {lineno}: state {q} outside 0..{n_states - 1}")
-    var_state = tuple(var_entries.get(j + 1, -1) for j in range(rank_k))
+    var_state = tuple(var_entries.pop(j, -1) for j in range(1, rank_k + 1))
+    for j in var_entries:  # the var lines left lie outside 1..rank
+        raise ParseError(f"line {once[f'var {j}']}: variable v{j} outside rank {rank_k}")
     if any(q < 0 for q in var_state):
         raise ParseError("missing var line")
-    alph = RankedAlphabet(tuple(order))
+    alph = RankedAlphabet(tuple(arity.items()))
     return TreeAutomaton(alph, rank_k, n_states, var_state, trans, finals)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 

@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 import random
 from dataclasses import replace
 
@@ -41,6 +43,7 @@ from preclones.trees import (
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def max_automaton(k=0):
@@ -265,6 +268,14 @@ def test_text_rejects_garbage():
         automaton_from_text("rank 0\nstates 1\nnonsense\n")
     with pytest.raises(ParseError):
         automaton_from_text("states 1\nfinals 0\n")
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(REPO, "tests", "**", "*.aut"), recursive=True)
+    + glob.glob(os.path.join(REPO, "perfbench", "corpus", "*.aut"))))
+def test_every_committed_automaton_loads(path):
+    a = automata.load_automaton(path)
+    assert automaton_equal(automaton_from_text(automaton_to_text(a)), a)
 
 
 def test_transitions_must_be_total():

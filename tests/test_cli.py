@@ -113,6 +113,28 @@ def test_syntactic_rejects_a_state_outside_the_declared_states(tmp_path, capsys,
     assert run(capsys, "syntactic", str(path))[0] == 0
 
 
+# edits of RANK1_AUT that give a letter two arities, place a variable
+# outside the rank or repeat a line that must come once
+MALFORMED = {
+    "two_arities": ("trans g 1 -> 1", "trans g 1 0 -> 1", "line 7: g already has arity 1"),
+    "var_outside_rank": ("var 1 0", "var 1 0\nvar 3 1", "line 5: variable v3 outside rank 1"),
+    "second_rank": ("rank 1", "rank 1\nrank 1", "line 2: a second rank line"),
+    "second_states": ("states 2", "states 2\nstates 2", "line 3: a second states line"),
+    "second_finals": ("finals 1", "finals 1\nfinals 0", "line 4: a second finals line"),
+    "second_var": ("var 1 0", "var 1 0\nvar 1 1", "line 5: a second var 1 line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_syntactic_rejects_a_malformed_automaton_line(tmp_path, capsys, case):
+    old, new, message = MALFORMED[case]
+    path = tmp_path / "bad.aut"
+    path.write_text(RANK1_AUT.replace(old, new))
+    code, out, err = run(capsys, "syntactic", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"  # one line, no traceback
+
+
 def test_syntactic_empty_language(tmp_path, capsys):
     from preclones.automata import boolean_alphabet, complement, intersect, k_exists, save_automaton
 
