@@ -583,25 +583,25 @@ class EquivalenceReport:
 
 
 def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceReport:
-    """Compare satisfaction against recognizer membership on every
-    structure with at most ``max_nv`` NV nodes, both read off its node table;
-    a sentence's gamma is read off one evaluation of the enumeration's forest."""
-    holds = node_evaluator(phi)
+    """Compare satisfaction against recognizer membership on every structure
+    with at most ``max_nv`` NV nodes, both read off its node table: gamma is
+    evaluated once per entry of the enumeration's forest, and a structure
+    recomposes only the nodes holding a variable and their ancestors."""
+    holds, mismatches = node_evaluator(phi), []
     checked = accepted = 0
-    mismatches = []
-    shared = forest(rec.sigma, rec.rank, max_nv)
-    values = None if rec.variables else rec.gamma.eval_dag(shared[0])
-    for t, nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv, shared):
+    dag, levels = forest(rec.sigma, rec.rank, max_nv)
+    values, image, compose = rec.gamma.eval_dag(dag), rec.gamma.image, rec.gamma.target.compose
+    for nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv, (dag, levels)):
+        letters = {i: ext_symbol(nodes.labels[i], [z for z, j in env.items() if j == i])
+                   for i in env.values()}  # of the nodes holding a variable
+        recomposed, least = {}, len(nodes.labels)  # least: the last node recomposed
+        for i in reversed(range(max(letters, default=-1) + 1)):
+            if i in letters or least < nodes.end[i]:  # i's subtree holds a recomposed node
+                gs = [recomposed[c] if c in recomposed else values[s]
+                      for c, s in zip(nodes.kids[i], dag[nodes.serials[i]][1])]
+                recomposed[i], least = compose(image[letters.get(i, nodes.labels[i])], gs), i
         want = holds(nodes, env)
-        if values is not None:
-            got = values[nodes.serial] in rec.accepting
-        else:
-            letters = list(nodes.labels)  # each extended by the variables on it
-            for i in set(env.values()):
-                letters[i] = ext_symbol(letters[i], [z for z, j in env.items() if j == i])
-            got = rec.gamma.eval_nodes(letters, nodes.kids, rec.rank) in rec.accepting
-        checked += 1
-        accepted += 1 if want else 0
-        if want != got:
-            mismatches.append((t, {z: nodes.paths[i] for z, i in env.items()}))
+        checked, accepted = checked + 1, accepted + want
+        if want != (recomposed.get(0, values[nodes.serial]) in rec.accepting):
+            mismatches.append((nodes.tree(), {z: nodes.paths[i] for z, i in env.items()}))
     return EquivalenceReport(checked, accepted, mismatches)

@@ -32,12 +32,12 @@ from .errors import DeterminismViolation, ParseError
 from .trees import (
     RankedAlphabet,
     RankedTree,
-    enumerate_trees,
     fold,
     forest,
     nv_nodes,
     replace_at,
     subtree_at,
+    var,
 )
 
 
@@ -169,11 +169,11 @@ def satisfies(t: RankedTree, lam: dict, phi) -> bool:
     missing = fv - set(lam)
     if missing:
         raise ValueError(f"interpretation misses free variables {sorted(missing)}")
-    nv = set(nv_nodes(t))
+    nodes = _Nodes(t)
     for x in fv:
-        if lam[x] not in nv:
+        if lam[x] not in nodes.paths:
             raise ValueError(f"{x} is not interpreted at an NV node")
-    return evaluator(phi)(t, {x: lam[x] for x in fv})
+    return node_evaluator(phi)(nodes, {x: nodes.paths.index(lam[x]) for x in fv})
 
 
 def evaluator(phi):
@@ -192,37 +192,50 @@ def evaluator(phi):
 
 
 class _Nodes:
-    """A tree's NV nodes in preorder, as arrays each atom reads in O(1).
+    """The NV nodes of the tree at ``dag[serial]``, a ``trees.forest`` dag, in
+    preorder, as arrays each atom reads in O(1).  A child or the root is a
+    node index, or -j for the leaf v_j.  serials[i] is node i's entry; end[i]
+    is one past the last node of i's subtree; left[i] counts the variables
+    left of it and right[i] - 1 those up to its end."""
 
-    A child or the root is a node index, or -j for the leaf v_j.  end[i] is
-    one past the last node of i's subtree; left[i] counts the variables
-    left of it and right[i] - 1 those up to its end.  serial is the tree's
-    entry in the ``trees.forest`` dag it came from, if any."""
-
-    def __init__(self, t: RankedTree, serial=None):
-        self.tree, self.serial, self.labels, self.kids = t, serial, [], []
+    def __init__(self, dag, serial=None):
+        if serial is None:  # a lone tree, read as a one-tree dag: fold adds its root last
+            t, dag = dag, []
+            serial = fold(t, lambda j: dag.append((j, (), None)) or len(dag) - 1,
+                          lambda label, kids: dag.append((label, kids, None)) or len(dag) - 1)
+        self.serial, self.labels, self.kids, self.serials = serial, [], [], []
         self.end, self.left, self.right, self.leaves = [], [], [], []
-        self.root = self._add(t)
+        self.root = self._add(dag, serial)
 
-    def _add(self, s):
-        label = s.label
+    def _add(self, dag, s):
+        label, kids, _ = dag[s]
         if label.__class__ is int:  # a variable leaf
             self.leaves.append(label)
             return -label
         i = len(self.labels)
         self.labels.append(label)
+        self.serials.append(s)
         self.left.append(len(self.leaves))
         self.kids.append(None)
         self.end.append(None)
         self.right.append(None)
-        self.kids[i] = tuple([self._add(c) for c in s.children]) if s.children else ()
+        self.kids[i] = tuple([self._add(dag, c) for c in kids]) if kids else ()
         self.end[i], self.right[i] = len(self.labels), len(self.leaves) + 1
         return i
 
     @functools.cached_property
     def paths(self):
         """Each node's path, computed on first use."""
-        return nv_nodes(self.tree)
+        return nv_nodes(self.tree())
+
+    def tree(self, letters=None):
+        """The tree, with node i relabelled letters[i] if letters are given."""
+        letters = letters or self.labels
+
+        def build(i):  # a node index, or -j for the leaf v_j
+            return RankedTree(letters[i], tuple(map(build, self.kids[i]))) if i >= 0 else var(-i)
+
+        return build(self.root)
 
 
 def node_evaluator(phi):
@@ -339,12 +352,7 @@ def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTre
     """
     nodes = _Nodes(t)
     env = {z: nodes.paths.index(p) for z, p in lam.items()}
-    letters = _letters(nodes, env, x, _by_rank(delta, formulas))
-    built = [None] * len(letters)
-    for i in reversed(range(len(letters))):
-        kids = (built[c] if c > 0 else RankedTree(-c) for c in nodes.kids[i])
-        built[i] = RankedTree(letters[i], tuple(kids))
-    return built[0] if built else t
+    return nodes.tree(_letters(nodes, env, x, _by_rank(delta, formulas)))
 
 
 def check_deterministic(delta: RankedAlphabet, x, family, sigma: RankedAlphabet,
@@ -356,15 +364,14 @@ def check_deterministic(delta: RankedAlphabet, x, family, sigma: RankedAlphabet,
     Returns (True, None) or (False, witness) with the first violating
     (tree, interpretation, node, holding letters in name order).
     """
-    formulas = dict(family)
-    others = sorted(set().union(*(free_vars(f) for f in formulas.values())) - {x})
-    for t in enumerate_trees(sigma, k, max_nv):
-        for assign in itertools.product(nv_nodes(t), repeat=len(others)):
-            lam = dict(zip(others, assign))
-            try:
-                characteristic_tree(t, lam, x, delta, formulas)
-            except DeterminismViolation as exc:
-                return False, (t, lam, exc.node, sorted(exc.satisfied))
+    others = set().union(*(free_vars(f) for _, f in family)) - {x}
+    by_rank = _by_rank(delta, dict(family))
+    for nodes, env in interpretations(sigma, others, k, max_nv):
+        try:
+            _letters(nodes, env, x, by_rank)
+        except DeterminismViolation as exc:
+            lam = {z: nodes.paths[i] for z, i in env.items()}
+            return False, (nodes.tree(), lam, exc.node, sorted(exc.satisfied))
     return True, None
 
 
@@ -411,21 +418,21 @@ def mk_structure(t: RankedTree, lam: dict) -> RankedTree:
 
 
 def interpretations(sigma, zs, k, max_nv, shared=None):
-    """(tree, node table, env) for every structure with the tree's NV count
+    """(node table, env) for every structure with the tree's NV count
     bounded, env mapping the sorted zs to node indices; a tree's share a
     table.  ``shared`` is ``forest(sigma, k, max_nv)`` if already built."""
     zs = sorted(zs)
     dag, levels = shared or forest(sigma, k, max_nv)
     for s in itertools.chain.from_iterable(levels):
-        nodes = _Nodes(dag[s][2], s)
+        nodes = _Nodes(dag, s)
         for assign in itertools.product(range(len(nodes.labels)), repeat=len(zs)):
-            yield nodes.tree, nodes, dict(zip(zs, assign))
+            yield nodes, dict(zip(zs, assign))
 
 
 def structures(sigma, zs, k, max_nv):
     """All (tree, lam, structure) triples, in the order of ``interpretations``."""
-    for t, nodes, env in interpretations(sigma, zs, k, max_nv):
-        lam = {z: nodes.paths[i] for z, i in env.items()}
+    for nodes, env in interpretations(sigma, zs, k, max_nv):
+        t, lam = nodes.tree(), {z: nodes.paths[i] for z, i in env.items()}
         yield t, lam, mk_structure(t, lam)
 
 

@@ -224,22 +224,12 @@ class Morphism:
         unit, image, compose = self.target.unit, self.image, self.target.compose
         return fold(t, lambda _: unit, lambda name, imgs: compose(image[name], imgs))
 
-    def eval_nodes(self, letters, kids, rank) -> El:
-        """``eval`` of a rank-``rank`` tree whose i-th symbol node in preorder has
-        letters[i] and children kids[i] (node indices, or -j for v_j)."""
-        vals = [self.target.unit] * (len(letters) + rank)
-        image, memo, compose = self.image, self.target._memo, self.target.compose
-        for i in reversed(range(len(letters))):
-            f, gs = image[letters[i]], tuple(map(vals.__getitem__, kids[i]))
-            vals[i] = memo.get((f, gs)) or compose(f, gs)
-        return vals[0]
-
     def eval_dag(self, dag) -> list:
         """``eval`` of every entry of a ``trees.forest`` dag, by serial: one
         compose-memo lookup each, children first."""
         vals, unit = [], self.target.unit
         image, memo, compose = self.image, self.target._memo, self.target.compose
-        for label, kids, _, _ in dag:
+        for label, kids, _ in dag:
             if label.__class__ is int:  # a variable leaf
                 vals.append(unit)
             else:

@@ -384,7 +384,7 @@ def _trees_exact(alph, k, nv, off, memo, dag):
     out = []
     if nv == 0 and k == 1:
         out.append(len(dag))
-        dag.append((off + 1, (), RankedTree(off + 1), f"v{off + 1}"))
+        dag.append((off + 1, (), f"v{off + 1}"))
     for name, m in alph.symbols if nv else ():
         if nv - 1 == 0 and m > 0:
             continue
@@ -392,31 +392,28 @@ def _trees_exact(alph, k, nv, off, memo, dag):
             # child i's variables follow those of the children before it
             offsets = tuple(itertools.accumulate(ranks, initial=off))
             for nvs in compositions(nv - 1, m):
-                child_sets = [
-                    _trees_exact(alph, r, n, o, memo, dag)
-                    for r, n, o in zip(ranks, nvs, offsets)
-                ]
+                child_sets = [_trees_exact(alph, r, n, o, memo, dag)
+                              for r, n, o in zip(ranks, nvs, offsets)]
                 for kids in itertools.product(*child_sets):
-                    subs = [dag[c] for c in kids]
-                    text = f"{name}({','.join(e[3] for e in subs)})" if kids else name
+                    text = f"{name}({','.join(dag[c][2] for c in kids)})" if kids else name
                     out.append(len(dag))
-                    dag.append((name, kids, RankedTree(name, tuple(e[2] for e in subs)), text))
+                    dag.append((name, kids, text))
     memo[key] = out
     return out
 
 
 def forest(alph: RankedAlphabet, k: int, max_nv: int):
-    """The trees of ``enumerate_trees``, each subtree built once: (dag, levels).
+    """The trees of ``enumerate_trees``, each subtree entered once: (dag, levels).
 
-    ``dag[s]`` is the entry (label, kids, tree, text) of serial s, kids its
-    children's serials (each before its parent; v_j is (j, (), v_j, "vj")).
+    ``dag[s]`` is the entry (label, kids, text) of serial s, kids its
+    children's serials (each before its parent; v_j is (j, (), "vj")).
     ``levels[nv]`` lists the serials of the trees with nv NV nodes, in order.
     """
     if max_nv < 0:
         raise ValueError(f"max_nv must be >= 0, got {max_nv}")
     memo, dag = {}, []
     levels = [_trees_exact(alph, k, nv, 0, memo, dag) for nv in range(max_nv + 1)]
-    return dag, [sorted(level, key=lambda s: dag[s][3]) for level in levels]
+    return dag, [sorted(level, key=lambda s: dag[s][2]) for level in levels]
 
 
 def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
@@ -426,7 +423,10 @@ def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
     are reproducible.  Raises ValueError for a negative max_nv.
     """
     dag, levels = forest(alph, k, max_nv)
-    yield from (dag[s][2] for level in levels for s in level)
+    built = []  # the tree of each entry, from its children's
+    for label, kids, _ in dag:
+        built.append(RankedTree(label, tuple(map(built.__getitem__, kids))))
+    yield from (built[s] for level in levels for s in level)
 
 
 def count_nv(t: RankedTree) -> int:

@@ -1,6 +1,10 @@
+import dataclasses
 import functools
 import importlib.util
+import inspect
 import os
+import sys
+import types
 
 import pytest
 
@@ -48,7 +52,7 @@ from preclones.logic import (
     structures,
     tilde_substitute,
 )
-from preclones.trees import UNIT, alphabet, enumerate_trees, forest, rank as tree_rank
+from preclones.trees import UNIT, RankedTree, alphabet, enumerate_trees, forest, rank as tree_rank
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])
@@ -444,11 +448,19 @@ def test_constant_recognizers_have_one_element_of_sort_k(name):
     assert rec.gamma.target.sort_size(rec.rank) == 1
 
 
+def dag_trees(dag):
+    """The tree of every forest entry, by serial, built from its children's."""
+    built = []
+    for label, kids, _ in dag:
+        built.append(RankedTree(label, tuple(built[c] for c in kids)))
+    return built
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_eval_dag_matches_eval_on_every_forest_entry(name):
     _, rec = corpus_recognizer(name)
     dag, levels = forest(rec.sigma, rec.rank, 4)
-    assert rec.gamma.eval_dag(dag) == [rec.gamma.eval(t) for _, _, t, _ in dag]
+    assert rec.gamma.eval_dag(dag) == [rec.gamma.eval(t) for t in dag_trees(dag)]
     assert any(levels)
 
 
@@ -459,30 +471,79 @@ ASYMMETRIC_NAMES = ("ex05", "ex19", "ex21", "ex22", "ex23", "ex24", "ex25", "ex2
 
 @pytest.mark.parametrize("name", ASYMMETRIC_NAMES)
 def test_check_equivalence_catches_a_dag_entry_with_swapped_children(name, monkeypatch):
-    import preclones.compiler as compiler
-
     phi, rec = corpus_recognizer(name)
     dag, levels = forest(rec.sigma, rec.rank, 4)
     values, pre, image = rec.gamma.eval_dag(dag), rec.gamma.target, rec.gamma.image
 
     def flips(s):
-        label, kids, _, _ = dag[s]
+        label, kids, _ = dag[s]
         if len(kids) != 2 or kids[0] == kids[1]:
             return False
         swapped = pre.compose(image[label], (values[kids[1]], values[kids[0]]))
         return (swapped in rec.accepting) != (values[s] in rec.accepting)
 
     s = next(s for level in levels for s in level if flips(s))
-    label, kids, t, text = dag[s]
+    label, kids, text = dag[s]
+    t = dag_trees(dag)[s]
+    eval_dag = rec.gamma.eval_dag
 
-    def corrupted_forest(*args):
-        dag, levels = forest(*args)
-        dag[s] = (label, kids[::-1], t, text)
-        return dag, levels
+    def corrupted_eval_dag(dag):
+        # gamma reads the entry swapped; satisfaction reads the dag as built
+        return eval_dag(dag[:s] + [(label, kids[::-1], text)] + dag[s + 1:])
 
-    monkeypatch.setattr(compiler, "forest", corrupted_forest)
+    monkeypatch.setattr(rec.gamma, "eval_dag", corrupted_eval_dag)
     rep = check_equivalence(phi, rec, 4)
     assert (t, {}) in rep.mismatches  # and trees above it, wherever it shows
+
+
+def structure_gammas(phi, rec, max_nv):
+    """The gamma value check_equivalence gives each structure, in order: the
+    elements it looks up in the accepting set."""
+    seen = []
+
+    class Recording(frozenset):
+        def __contains__(self, el):
+            seen.append(el)
+            return frozenset.__contains__(self, el)
+
+    check_equivalence(phi, dataclasses.replace(rec, accepting=Recording(rec.accepting)), max_nv)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["ex31", "ex32"])
+def test_structure_gamma_is_eval_of_the_structure(name):
+    # a structure recomposes only the nodes holding a variable and their
+    # ancestors; its value must be gamma of the whole structure tree
+    phi, rec = corpus_recognizer(name)
+    want = [rec.gamma.eval(s) for _, _, s in structures(rec.sigma, rec.variables, rec.rank, 5)]
+    assert structure_gammas(phi, rec, 5) == want
+    assert want
+
+
+def mutant_compiler(monkeypatch, old, new):
+    """A copy of preclones.compiler with ``old`` replaced by ``new``."""
+    import preclones.compiler as compiler
+
+    source = inspect.getsource(compiler)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType("preclones.compiler_mutant")
+    mutant.__package__ = "preclones"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(old, new), compiler.__file__, "exec"), vars(mutant))
+    return mutant
+
+
+@pytest.mark.parametrize("name", ["ex31", "ex32"])
+def test_check_equivalence_catches_ancestors_left_unrecomposed(name, monkeypatch):
+    # the mutation recomposes each node holding a variable but reads the
+    # values above it off the forest, as if no variable sat there; at
+    # max_nv 5 that gives 32 mismatches on ex31 and 266 on ex32
+    phi, rec = corpus_recognizer(name)
+    test = "if i in letters or least < nodes.end[i]:"
+    same = mutant_compiler(monkeypatch, test, test)
+    assert same.check_equivalence(phi, rec, 5).ok  # the harness alone finds nothing
+    mutant = mutant_compiler(monkeypatch, test, "if i in letters:")
+    assert mutant.check_equivalence(phi, rec, 5).mismatches
 
 
 def test_a_closed_quantifier_runs_once_per_node_table(monkeypatch):

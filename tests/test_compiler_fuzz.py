@@ -5,6 +5,7 @@ connective shapes and quantifier nesting the corpus may not, with sizes
 kept small enough that every draw checks in well under a second.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from preclones.logic import (
     TRUE,
     boolean_family,
     free_vars,
+    structures,
 )
 from preclones.trees import alphabet
 
@@ -115,3 +117,23 @@ def test_fuzz_open_formulas(seed):
     rec = compile_formula(phi, DBOOL, Y, 0)
     rep = check_equivalence(phi, rec, 3)
     assert rep.ok, (phi, rep.mismatches[:2])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fuzz_open_structure_gammas(seed):
+    # the formulas of test_fuzz_open_formulas: the gamma value
+    # check_equivalence gives each structure, which it looks up in the
+    # accepting set, is gamma of the whole structure tree
+    rng = random.Random(2000 + seed)
+    phi = random_formula(rng, DBOOL, 0, ["z"], depth=2, quant_budget=1)
+    rec = compile_formula(phi, DBOOL, tuple(sorted(free_vars(phi) | {"z"})), 0)
+    seen = []
+
+    class Recording(frozenset):
+        def __contains__(self, el):
+            seen.append(el)
+            return frozenset.__contains__(self, el)
+
+    check_equivalence(phi, dataclasses.replace(rec, accepting=Recording(rec.accepting)), 5)
+    want = [rec.gamma.eval(s) for _, _, s in structures(DBOOL, rec.variables, 0, 5)]
+    assert seen == want, phi

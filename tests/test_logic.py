@@ -825,8 +825,8 @@ def test_quantifier_pass_raises_where_characteristic_tree_does(text):
     phi = parse_formula(text, DBOOL, 0, langs)
     holds = logic.node_evaluator(phi)
     raised = 0
-    for t, nodes, env in logic.interpretations(DBOOL, ["z"], 0, 4):
-        lam = {z: nodes.paths[i] for z, i in env.items()}
+    for nodes, env in logic.interpretations(DBOOL, ["z"], 0, 4):
+        t, lam = nodes.tree(), {z: nodes.paths[i] for z, i in env.items()}
         want = verdict(characteristic_tree, t, lam, phi.var, phi.lang.alphabet,
                        phi.formulas())
         got = verdict(holds, nodes, env)

@@ -5,6 +5,7 @@ import pytest
 from preclones.errors import ParseError
 from preclones.trees import (
     UNIT,
+    RankedTree,
     alphabet,
     compose,
     compositions,
@@ -228,25 +229,36 @@ FOREST_CASES = [
 ]
 
 
+def dag_trees(dag):
+    """The tree of every forest entry, by serial, built from its children's."""
+    built = []
+    for label, kids, _ in dag:
+        built.append(RankedTree(label, tuple(built[c] for c in kids)))
+    return built
+
+
 @pytest.mark.parametrize("alph,k,max_nv", FOREST_CASES)
 def test_forest_levels_match_the_composing_reference(alph, k, max_nv):
     dag, levels = forest(alph, k, max_nv)
+    built = dag_trees(dag)
     assert len(levels) == max_nv + 1
-    got = [dag[s][2] for level in levels for s in level]
+    got = [built[s] for level in levels for s in level]
     assert got == list(reference_enumerate_trees(alph, k, max_nv))
     for nv, level in enumerate(levels):
-        assert all(count_nv(dag[s][2]) == nv for s in level)
+        assert all(count_nv(built[s]) == nv for s in level)
 
 
 @pytest.mark.parametrize("alph,k,max_nv", FOREST_CASES)
 def test_forest_entries_are_their_trees_built_once(alph, k, max_nv):
     dag, _ = forest(alph, k, max_nv)
-    for s, (label, kids, t, text) in enumerate(dag):
+    built = dag_trees(dag)
+    for s, (label, kids, text) in enumerate(dag):
+        t = built[s]
         assert text == tree_to_text(t)
         assert t.label == label
         assert all(c < s for c in kids)  # children first
-        assert t.children == tuple(dag[c][2] for c in kids)
-    assert len({t for _, _, t, _ in dag}) == len(dag)
+        assert t.children == tuple(built[c] for c in kids)
+    assert len(set(built)) == len(dag)
 
 
 def test_unit_axioms_exhaustive():
