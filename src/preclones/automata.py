@@ -470,9 +470,7 @@ def automaton_to_text(a: TreeAutomaton) -> str:
 
 
 def automaton_from_text(text: str) -> TreeAutomaton:
-    rank_k = None
-    n_states = None
-    finals = None
+    rank_k = n_states = finals = None
     var_entries, trans, arity = {}, {}, {}
     once = {}  # the rank, states, finals and var j lines: key -> line
     named = []  # (line, state) of every state a line names

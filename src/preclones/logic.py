@@ -431,9 +431,11 @@ def interpretations(sigma, zs, k, max_nv, shared=None):
 
 def structures(sigma, zs, k, max_nv):
     """All (tree, lam, structure) triples, in the order of ``interpretations``."""
-    for nodes, env in interpretations(sigma, zs, k, max_nv):
-        t, lam = nodes.tree(), {z: nodes.paths[i] for z, i in env.items()}
-        yield t, lam, mk_structure(t, lam)
+    for nodes, group in itertools.groupby(interpretations(sigma, zs, k, max_nv), lambda p: p[0]):
+        t = nodes.tree()  # one tree per table, so evaluator's table cache holds
+        for _, env in group:
+            lam = {z: nodes.paths[i] for z, i in env.items()}
+            yield t, lam, mk_structure(t, lam)
 
 
 # ---------------------------------------------------------------------------
