@@ -568,6 +568,59 @@ def test_a_closed_quantifier_runs_once_per_node_table(monkeypatch):
     assert 0 < len(tables) < rep.checked
 
 
+def raised(fn, *args):
+    """The type, message, node and letters of what fn(*args) raises."""
+    with pytest.raises((DeterminismViolation, ValueError)) as info:
+        fn(*args)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "node", None), getattr(exc, "satisfied", None)
+
+
+def kpath_formula(text, k=0):
+    langs = {"kpath": k_path(DBOOL, k), "kex": k_exists(DBOOL, k)}
+    return parse_formula(text, DBOOL, k, langs)
+
+
+def k_without(K, letter):
+    return dataclasses.replace(K, transitions={d: t for d, t in K.transitions.items()
+                                               if d != letter})
+
+
+FAM = boolean_family(PSym("1_0", "x"), DBOOL)
+RAISING = {
+    # two letters or none hold at some nodes, with a free z (the table path)
+    "partial_z_less": (kpath_formula(
+        "Q[kpath] x { 1_0: P[1_0](x) | z<x; 0_0: !P[1_0](x); 1_2: P[1_2](x);"
+        " 0_2: !P[1_2](x) & !root(x) }"), ("z",), 0),
+    "partial_z_succ": (kpath_formula(
+        "Q[kpath] x { 1_0: P[1_0](x); 0_0: !P[1_0](x); 1_2: succ_1(x,z) | P[1_2](z);"
+        " 0_2: !succ_1(x,z) & !P[0_2](x) }"), ("z",), 0),
+    # the same in sentences decided once per entry
+    "two_letters": (kpath_formula(
+        "Q[kpath] x { 1_0: P[1_0](x); 0_0: !P[1_0](x); 1_2: true; 0_2: P[0_2](x) }"), (), 0),
+    "no_letter_behind_a_conjunct": (kpath_formula(
+        "(exists y. P[1_2](y)) & Q[kpath] x { 1_0: P[1_0](x); 0_0: P[0_0](x) & x<x;"
+        " 1_2: P[1_2](x); 0_2: !P[1_2](x) }"), (), 0),
+    "no_letter_without_a_var_child": (kpath_formula(
+        "!(exists y. P[0_0](y)) | Q[kex] x { 1_0: P[1_0](x); 0_0: P[0_0](x);"
+        " 1_2: max[1,1](x); 0_2: max[2,1](x) }", 1), (), 1),
+    # a v_j outside K's rank, and a letter missing from K
+    "var_outside_rank": (Or(QK("ex2", k_exists(DBOOL, 2), "x", FAM),
+                            QK("ex1", k_exists(DBOOL, 1), "x", FAM)), (), 2),
+    "letter_missing": (And(QK("ex", k_exists(DBOOL, 0), "x", boolean_family(TRUE, DBOOL)),
+                           QK("gap", k_without(k_exists(DBOOL, 0), "0_2"), "x", FAM)), (), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISING))
+def test_check_equivalence_raises_what_the_table_pass_raises(case):
+    phi, Y, k = RAISING[case]
+    rec = compile_formula(TRUE, DBOOL, Y, k)
+    max_nv = 3 if k == 2 else 4
+    assert raised(check_equivalence, phi, rec, max_nv) == raised(
+        reference_check_equivalence, phi, rec, max_nv)
+
+
 # -- companion automata without carriers ------------------------------------------
 
 

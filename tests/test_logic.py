@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import os
+import random
 import sys
 import types
 from dataclasses import replace
@@ -56,6 +57,7 @@ from preclones.trees import (
     RankedTree,
     alphabet,
     enumerate_trees,
+    forest,
     load_alphabet,
     nv_nodes,
     parse_tree,
@@ -859,6 +861,119 @@ def test_unit_tree_reads_the_first_variable_state():
     assert verdicts == {True, False}
     with pytest.raises(ValueError, match="variable v1 outside rank 0"):
         satisfies(UNIT, {}, parse_formula("exists x. P[a](x)", SIG, 0))
+
+
+# -- local sentences, decided once per forest entry ------------------------------
+#
+# A sentence whose quantifier families read only x's own label and children
+# is decided on every dag entry at once; the node-table pass on each level
+# tree is its oracle.
+
+PERFBENCH_CORPUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench",
+                                "corpus")
+LOCAL_NAMES = ("ex01", "ex02", "ex06", "ex07", "ex08", "ex09", "ex10", "ex12", "ex14",
+               "ex15", "ex16", "ex17", "ex18", "ex20", "ex21", "ex22", "ex29", "ex30")
+RANDOM_SIGMAS = {"sigma_ex": SIG, "dbool": DBOOL, "g1h3": alphabet("g/1", "h/3", "a/0", "b/0")}
+
+
+def table_pass(phi, dag, levels):
+    """node_evaluator on the node table of every level tree, by serial; None
+    where it raises."""
+    holds, out = logic.node_evaluator(phi), {}
+    for s in itertools.chain.from_iterable(levels):
+        try:
+            out[s] = holds(logic._Nodes(dag, s), {})
+        except (DeterminismViolation, ValueError):
+            out[s] = None
+    return out
+
+
+def assert_decided_as_the_table_pass(phi, sigma, k, max_nv):
+    dag, levels = forest(sigma, k, max_nv)
+    sat = logic.sentence_evaluator(phi)(dag)
+    assert len(sat) == len(dag)
+    want = table_pass(phi, dag, levels)
+    assert {s: sat[s] for s in want} == want, phi
+    return want
+
+
+@pytest.mark.parametrize("corpus", [CORPUS, PERFBENCH_CORPUS])
+def test_the_local_sentences_of_the_corpus(corpus):
+    local = []
+    for name in CORPUS_NAMES:
+        phi, _, _, _ = load_formula_file(os.path.join(corpus, name + ".lind"))
+        if logic.sentence_evaluator(phi) is not None:
+            local.append(name)
+    assert tuple(local) == LOCAL_NAMES
+
+
+@pytest.mark.parametrize("name", LOCAL_NAMES)
+@pytest.mark.parametrize("corpus", [CORPUS, PERFBENCH_CORPUS])
+def test_local_corpus_sentences_are_decided_as_the_table_pass(corpus, name):
+    phi, sigma, k, _ = load_formula_file(os.path.join(corpus, name + ".lind"))
+    assert_decided_as_the_table_pass(phi, sigma, k, 5)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("sigma_name", sorted(RANDOM_SIGMAS))
+def test_random_local_sentences_are_decided_as_the_table_pass(sigma_name, k):
+    from test_compiler_fuzz import random_formula
+
+    sigma, rng, found = RANDOM_SIGMAS[sigma_name], random.Random(3000 + 10 * k), []
+    for _ in range(400):
+        phi = random_formula(rng, sigma, k, [], depth=3, quant_budget=1)
+        if logic.sentence_evaluator(phi) is not None and phi not in found:
+            verdicts = assert_decided_as_the_table_pass(phi, sigma, k, 5)
+            found.append((phi, set(verdicts.values())))
+    assert len(found) >= 20
+    assert {True, False} <= set().union(*(v for _, v in found))
+    if k:  # some family reads a child pattern
+        assert any("Max(" in repr(phi) for phi, _ in found)
+
+
+# a local sentence whose family holds two letters at a 0_2 node, and one
+# whose family holds none at a 0_0 leaf under a 1_2 node with a 1_0 sibling
+LOCAL_PARTIAL = (
+    "Q[kpath] x { 1_0: P[1_0](x); 0_0: !P[1_0](x); 1_2: true; 0_2: P[0_2](x) }",
+    "(exists y. P[1_2](y)) & Q[kpath] x { 1_0: P[1_0](x); 0_0: P[0_0](x) & x<x;"
+    " 1_2: P[1_2](x); 0_2: !P[1_2](x) }",
+)
+
+
+@pytest.mark.parametrize("text", LOCAL_PARTIAL)
+def test_local_partial_families_are_undecided_where_the_table_pass_raises(text):
+    langs = {"kpath": load_automaton(os.path.join(CORPUS, "k_path0.aut"))}
+    phi = parse_formula(text, DBOOL, 0, langs)
+    verdicts = assert_decided_as_the_table_pass(phi, DBOOL, 0, 5)
+    assert set(verdicts.values()) == {True, False, None}
+
+
+def test_a_variable_outside_the_rank_or_a_letter_missing_from_k_is_undecided():
+    # K of rank 1 in a rank-2 sentence, where every tree holds v2: undecided
+    # wherever the left side does not decide alone; K without 0_2: every
+    # tree holding a 0_2 node is undecided
+    fam = boolean_family(PSym("1_0", "x"), DBOOL)
+    low, good = QK("low", k_exists(DBOOL, 1), "x", fam), QK("good", k_exists(DBOOL, 2), "x", fam)
+    verdicts = set()
+    for op in (And, Or):
+        verdicts |= set(assert_decided_as_the_table_pass(op(good, low), DBOOL, 2, 3).values())
+    assert verdicts == {True, False, None}
+    K = k_exists(DBOOL, 0)
+    gap = QK("gap", replace(K, transitions={d: t for d, t in K.transitions.items()
+                                            if d != "0_2"}), "x", fam)
+    verdicts = assert_decided_as_the_table_pass(gap, DBOOL, 0, 5)
+    assert set(verdicts.values()) == {True, False, None}
+
+
+@pytest.mark.parametrize("text", [
+    "exists x. root(x)",  # reads where x sits in the tree
+    "exists x. left[1](x)",
+    "exists x. exists y. x<y",  # a second variable
+    "P[a](z) | exists x. P[a](x)",  # free z
+    "exists x. P[a](x) & exists y. P[b](y)",  # a quantifier inside a family
+])
+def test_sentences_that_read_beyond_x_are_left_to_the_table_pass(text):
+    assert logic.sentence_evaluator(parse_formula(text, SIG, 1)) is None
 
 
 # Each mutation is one defect the node table could have; the oracle run
