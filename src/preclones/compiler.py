@@ -24,6 +24,7 @@ for the next quantifier level.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .automata import (
@@ -38,6 +39,7 @@ from .automata import (
 )
 from .errors import DeterminismViolation
 from .logic import (
+    _Nodes,
     And,
     ATOMS,
     FalseF,
@@ -57,6 +59,7 @@ from .logic import (
     free_vars,
     interpretations,
     node_evaluator,
+    sentence_evaluator,
     split_symbol,
 )
 from .preclone import (
@@ -586,11 +589,20 @@ def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceR
     """Compare satisfaction against recognizer membership on every structure
     with at most ``max_nv`` NV nodes, both read off its node table: gamma is
     evaluated once per entry of the enumeration's forest, and a structure
-    recomposes only the nodes holding a variable and their ancestors."""
+    recomposes only the nodes holding a variable and their ancestors.  A
+    sentence ``sentence_evaluator`` decides builds a table only to raise or to show a mismatch."""
     holds, mismatches = node_evaluator(phi), []
     checked = accepted = 0
     dag, levels = forest(rec.sigma, rec.rank, max_nv)
     values, image, compose = rec.gamma.eval_dag(dag), rec.gamma.image, rec.gamma.target.compose
+    if not rec.variables and (local := sentence_evaluator(phi)):
+        sat = local(dag)
+        for s in itertools.chain.from_iterable(levels):
+            want = holds(_Nodes(dag, s), {}) if sat[s] is None else sat[s]
+            checked, accepted = checked + 1, accepted + want
+            if want != (values[s] in rec.accepting):
+                mismatches.append((_Nodes(dag, s).tree(), {}))
+        return EquivalenceReport(checked, accepted, mismatches)
     for nodes, env in interpretations(rec.sigma, rec.variables, rec.rank, max_nv, (dag, levels)):
         letters = {i: ext_symbol(nodes.labels[i], [z for z, j in env.items() if j == i])
                    for i in env.values()}  # of the nodes holding a variable

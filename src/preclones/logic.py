@@ -14,9 +14,9 @@ with free variables cannot be interpreted on it; sentences can.
 
 Satisfaction is evaluated on a node table: a tree's NV nodes in preorder,
 with children, subtree ends and variable counts as arrays, so that every
-atom is a constant-time read.  A formula is compiled once into a function
-of (node table, variable -> node index); Q_K picks each node's letter and
-runs K on it in one reverse-preorder pass over the arrays.
+atom is a constant-time read, and Q_K runs K in one reverse-preorder pass.
+A sentence whose families read only x's label and children needs no table:
+K runs once per entry of the enumeration's forest (``sentence_evaluator``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from .automata import TreeAutomaton, boolean_alphabet, k_exists, k_mod
 from .errors import DeterminismViolation, ParseError
@@ -34,7 +35,6 @@ from .trees import (
     RankedTree,
     fold,
     forest,
-    nv_nodes,
     replace_at,
     subtree_at,
     var,
@@ -225,8 +225,13 @@ class _Nodes:
 
     @functools.cached_property
     def paths(self):
-        """Each node's path, computed on first use."""
-        return nv_nodes(self.tree())
+        """Each node's path, computed on first use: a parent's comes first."""
+        out = [()] * len(self.kids)
+        for i, kids in enumerate(self.kids):
+            for n, c in enumerate(kids):
+                if c > 0:
+                    out[c] = out[i] + (n,)
+        return out
 
     def tree(self, letters=None):
         """The tree, with node i relabelled letters[i] if letters are given."""
@@ -342,6 +347,49 @@ def _letters(nodes, env, x, by_rank):
             )
         out.append(holding[0])
     return out
+
+
+def _is_local(f, x) -> bool:
+    """f reads only x's own label and children: P[a](x), max[i,j](x), succ_i(x,x), x<x."""
+    if isinstance(f, (Not, Or, And)):
+        return all(_is_local(g, x) for g in vars(f).values())
+    return isinstance(f, (PSym, Max, Succ, Less, TrueF, FalseF)) and free_vars(f) <= {x}
+
+
+def sentence_evaluator(phi):
+    """phi's value on each entry of a ``trees.forest`` dag, None where the
+    pass of ``node_evaluator`` would raise; or None unless phi is a sentence whose
+    Q_Ks have local families: K then runs over the dag, each letter found once
+    per (label, NV child or v_j at each child)."""
+    if isinstance(phi, (TrueF, FalseF)):
+        return lambda dag, value=isinstance(phi, TrueF): [value] * len(dag)
+    if isinstance(phi, Not):
+        sub = sentence_evaluator(phi.sub)
+        return sub and (lambda dag: [v if v is None else not v for v in sub(dag)])
+    if isinstance(phi, (Or, And)):
+        left, right = sentence_evaluator(phi.left), sentence_evaluator(phi.right)
+        on = isinstance(phi, And)  # the left value that `and`/`or` pass on to the right
+        return left and right and (lambda dag: [r if v is on else v
+                                                for v, r in zip(left(dag), right(dag))])
+    if not isinstance(phi, QK) or not all(_is_local(f, phi.var) for _, f in phi.family):
+        return None
+    aut, env, by_rank = phi.lang, {phi.var: 0}, _by_rank(phi.lang.alphabet, phi.formulas())
+
+    def run(dag):
+        states, letters, delta, leaf = [], {}, aut.transitions, dict(enumerate(aut.var_state, 1))
+        for label, kids, _ in dag:
+            if label.__class__ is int:  # a variable leaf: None outside K's rank
+                states.append(leaf.get(label))
+                continue
+            pattern = tuple([-dag[c][0] if dag[c][0].__class__ is int else 1 for c in kids])
+            key = label, pattern
+            if key not in letters:  # x's node alone, as node 0 of a table
+                holding = by_rank[len(kids)](SimpleNamespace(labels=[label], kids=[pattern]), env)
+                letters[key] = holding[0] if len(holding) == 1 else None
+            states.append(delta.get(letters[key], {}).get(tuple([states[c] for c in kids])))
+        return [q if q is None else q in aut.finals for q in states]
+
+    return run
 
 
 def characteristic_tree(t, lam, x, delta: RankedAlphabet, formulas) -> RankedTree:

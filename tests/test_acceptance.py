@@ -38,7 +38,6 @@ from preclones.logic import (
     characteristic_tree,
     free_vars,
     inverse_literal_image,
-    nv_nodes,
     parse_formula,
     satisfies,
     tilde_substitute,
@@ -49,6 +48,7 @@ from preclones.trees import (
     alphabet,
     compose,
     enumerate_trees,
+    nv_nodes,
     parse_tree,
     rank as tree_rank,
     unit_tuple,

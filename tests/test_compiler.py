@@ -568,6 +568,28 @@ def test_a_closed_quantifier_runs_once_per_node_table(monkeypatch):
     assert 0 < len(tables) < rep.checked
 
 
+@pytest.mark.parametrize("name,per_tree", [("ex01", 0), ("ex03", 1), ("ex31", 1)])
+def test_node_tables_built_by_a_passing_check(name, per_tree, monkeypatch):
+    # ex01 is decided once per forest entry; ex03 reads root(x) and ex31 has
+    # a free z, so each of their trees gets one node table
+    import preclones.compiler as compiler
+    import preclones.logic as logic
+
+    phi, rec = corpus_recognizer(name)
+    built = []
+
+    class Counting(logic._Nodes):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(logic, "_Nodes", Counting)
+    monkeypatch.setattr(compiler, "_Nodes", Counting)
+    assert check_equivalence(phi, rec, 4).ok
+    _, levels = forest(rec.sigma, rec.rank, 4)
+    assert len(built) == per_tree * sum(map(len, levels))
+
+
 def raised(fn, *args):
     """The type, message, node and letters of what fn(*args) raises."""
     with pytest.raises((DeterminismViolation, ValueError)) as info:

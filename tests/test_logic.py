@@ -987,6 +987,10 @@ MUTATIONS = {
                              "map(states.__getitem__, kids[::-1])"),
     "qk_x_at_the_root": ("env[x], kids = i, kids_of[i]", "env[x], kids = 0, kids_of[i]"),
     "qk_pair_letters_swapped": ("a if f(n, e) else b", "b if f(n, e) else a"),
+    # the per-entry pass of a local sentence
+    "entry_children_reversed": ("states[c] for c in kids]", "states[c] for c in kids[::-1]]"),
+    "entry_letter_by_label_alone": ("key = label, pattern", "key = label"),
+    "entry_var_state_off_by_one": ("enumerate(aut.var_state, 1)", "enumerate(aut.var_state)"),
 }
 FORMULA_CLASSES = ("PSym", "Less", "Succ", "Root", "Max", "LeftJ", "RightJ",
                    "TrueF", "FalseF", "Not", "Or", "And", "QK")
@@ -1006,12 +1010,19 @@ def mutant_logic(monkeypatch, old, new):
     return mutant
 
 
-def first_disagreement(make_evaluator, max_nv=4):
+def first_disagreement(module, max_nv=4):
+    """The first corpus formula, tree and interpretation where the module's
+    node-table pass, or its per-entry pass of a local sentence, and the tree
+    walk disagree."""
     for name in CORPUS_NAMES + ("leftmost",):
         phi, sigma, k = corpus_formula(name)
-        holds = make_evaluator(phi)
+        holds, local = module.evaluator(phi), module.sentence_evaluator(phi)
+        dag, levels = forest(sigma, k, max_nv)
+        sat = local(dag) if local else None
+        serials = itertools.chain.from_iterable(levels)  # the trees, in enumeration order
         for t, lam in ref_interpretations(sigma, sorted(free_vars(phi)), k, max_nv):
-            if holds(t, lam) != ref_sat(t, lam, phi):
+            want = ref_sat(t, lam, phi)
+            if holds(t, lam) != want or (sat is not None and sat[next(serials)] != want):
                 return name, t, lam
     return None
 
@@ -1019,10 +1030,10 @@ def first_disagreement(make_evaluator, max_nv=4):
 def test_unmutated_copy_agrees(monkeypatch):
     # the mutation harness itself: an unchanged copy finds nothing
     old = MUTATIONS["less_or_equal"][0]
-    assert first_disagreement(mutant_logic(monkeypatch, old, old).evaluator, 3) is None
+    assert first_disagreement(mutant_logic(monkeypatch, old, old), 3) is None
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_mutated_evaluator_is_caught(mutation, monkeypatch):
     mutant = mutant_logic(monkeypatch, *MUTATIONS[mutation])
-    assert first_disagreement(mutant.evaluator) is not None
+    assert first_disagreement(mutant) is not None
