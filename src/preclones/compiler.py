@@ -589,8 +589,8 @@ def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceR
     """Compare satisfaction against recognizer membership on every structure
     with at most ``max_nv`` NV nodes, both read off its node table: gamma is
     evaluated once per entry of the enumeration's forest, and a structure
-    recomposes only the nodes holding a variable and their ancestors.  A
-    sentence ``sentence_evaluator`` decides builds a table only to raise or to show a mismatch."""
+    recomposes only the nodes holding a variable and their ancestors.  A sentence
+    that ``sentence_evaluator`` decides needs a table only to raise or to show a mismatch."""
     holds, mismatches = node_evaluator(phi), []
     checked = accepted = 0
     dag, levels = forest(rec.sigma, rec.rank, max_nv)
@@ -598,7 +598,7 @@ def check_equivalence(phi, rec: CompiledRecognizer, max_nv: int) -> EquivalenceR
     if not rec.variables and (local := sentence_evaluator(phi)):
         sat = local(dag)
         for s in itertools.chain.from_iterable(levels):
-            want = holds(_Nodes(dag, s), {}) if sat[s] is None else sat[s]
+            want = holds(_Nodes(dag, s), {}) if sat[s] is None else sat[s]  # None: it raises
             checked, accepted = checked + 1, accepted + want
             if want != (values[s] in rec.accepting):
                 mismatches.append((_Nodes(dag, s).tree(), {}))

@@ -357,10 +357,10 @@ def _is_local(f, x) -> bool:
 
 
 def sentence_evaluator(phi):
-    """phi's value on each entry of a ``trees.forest`` dag, None where the
-    pass of ``node_evaluator`` would raise; or None unless phi is a sentence whose
-    Q_Ks have local families: K then runs over the dag, each letter found once
-    per (label, NV child or v_j at each child)."""
+    """None unless phi is a sentence whose Q_Ks have local families; else phi's
+    value on each entry of a ``trees.forest`` dag, as a function of the dag,
+    None where ``node_evaluator``'s pass would raise.  K runs over the dag,
+    each letter found once per (label, NV child or v_j at each child)."""
     if isinstance(phi, (TrueF, FalseF)):
         return lambda dag, value=isinstance(phi, TrueF): [value] * len(dag)
     if isinstance(phi, Not):

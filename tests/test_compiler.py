@@ -627,7 +627,7 @@ RAISING = {
         "!(exists y. P[0_0](y)) | Q[kex] x { 1_0: P[1_0](x); 0_0: P[0_0](x);"
         " 1_2: max[1,1](x); 0_2: max[2,1](x) }", 1), (), 1),
     # a v_j outside K's rank, and a letter missing from K
-    "var_outside_rank": (Or(QK("ex2", k_exists(DBOOL, 2), "x", FAM),
+    "var_outside_rank": (And(QK("ex2", k_exists(DBOOL, 2), "x", FAM),
                             QK("ex1", k_exists(DBOOL, 1), "x", FAM)), (), 2),
     "letter_missing": (And(QK("ex", k_exists(DBOOL, 0), "x", boolean_family(TRUE, DBOOL)),
                            QK("gap", k_without(k_exists(DBOOL, 0), "0_2"), "x", FAM)), (), 0),
@@ -636,7 +636,10 @@ RAISING = {
 
 @pytest.mark.parametrize("case", sorted(RAISING))
 def test_check_equivalence_raises_what_the_table_pass_raises(case):
+    import preclones.logic as logic
+
     phi, Y, k = RAISING[case]
+    assert (logic.sentence_evaluator(phi) is None) == bool(Y)
     rec = compile_formula(TRUE, DBOOL, Y, k)
     max_nv = 3 if k == 2 else 4
     assert raised(check_equivalence, phi, rec, max_nv) == raised(

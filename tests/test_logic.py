@@ -976,8 +976,8 @@ def test_sentences_that_read_beyond_x_are_left_to_the_table_pass(text):
     assert logic.sentence_evaluator(parse_formula(text, SIG, 1)) is None
 
 
-# Each mutation is one defect the node table could have; the oracle run
-# over the corpus must catch every one.
+# Each mutation is one defect the node table, or the per-entry pass, could
+# have; the oracle run over the corpus must catch every one.
 MUTATIONS = {
     "less_or_equal": ("e[x] < e[y] < n.end[e[x]]", "e[x] <= e[y] < n.end[e[x]]"),
     "succ_off_by_one": ("i, x, y = phi.i - 1, phi.x, phi.y",
