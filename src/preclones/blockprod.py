@@ -301,7 +301,7 @@ class RestrictedBlockProduct:
         return out
 
     def carrier_size(self, n) -> int:
-        return len(self.bp.S.sort(n)) ** self.bp.n_contexts(n) * len(
+        return self.bp.S.sort_size(n) ** self.bp.n_contexts(n) * len(
             self.t_elements[n]
         )
 

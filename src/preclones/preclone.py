@@ -1,8 +1,11 @@
 """Rank-truncated finitary preclones.
 
-Elements are handles ``(rank, index)`` into per-rank tables; every
-preclone carries a truncation bound R and rejects compositions whose
-result rank would exceed it.  Concrete families (transformations of an
+Elements are handles ``(rank, index)`` into per-rank tables.  Each
+element has one shared handle tuple, owned by its preclone: ``intern``,
+``lookup``, the compose memo and every sort hand out that same object,
+and ``sort(n)`` returns a cached tuple of them, rebuilt only when the
+sort has grown.  Every preclone carries a truncation bound R and rejects
+compositions whose result rank would exceed it.  Concrete families (transformations of an
 automaton's state set, direct products, quotients, generated
 sub-preclones, loaded dumps) share one interned-table representation and
 differ only in their raw composition rule on keys.
@@ -37,7 +40,8 @@ class FinitaryPreclone:
         self._compose_raw = compose_raw
         self._describe = describe or (lambda key, rank: str(key))
         self._keys = [[] for _ in range(trunc + 1)]
-        self._index = [{} for _ in range(trunc + 1)]
+        self._index = [{} for _ in range(trunc + 1)]  # key -> handle, in interning order
+        self._sorts = [() for _ in range(trunc + 1)]
         self._memo = {}
         self.unit = None
 
@@ -47,23 +51,23 @@ class FinitaryPreclone:
         if rank > self.trunc:
             raise RankOverflow(f"rank {rank} above truncation {self.trunc}")
         tbl = self._index[rank]
-        i = tbl.get(key)
-        if i is None:
-            i = len(self._keys[rank])
-            tbl[key] = i
+        el = tbl.get(key)
+        if el is None:
+            el = tbl[key] = (rank, len(self._keys[rank]))
             self._keys[rank].append(key)
-        return (rank, i)
+        return el
 
     def lookup(self, rank, key):
-        i = self._index[rank].get(key)
-        return None if i is None else (rank, i)
+        return self._index[rank].get(key)
 
     def key(self, el: El):
         return self._keys[el[0]][el[1]]
 
     def sort(self, n):
-        """All elements of rank n, in interning order."""
-        return [(n, i) for i in range(len(self._keys[n]))]
+        """All elements of rank n, in interning order (sorts only grow)."""
+        if len(self._sorts[n]) != len(self._keys[n]):
+            self._sorts[n] = tuple(self._index[n].values())
+        return self._sorts[n]
 
     def sort_size(self, n):
         return len(self._keys[n])
@@ -342,7 +346,7 @@ def t_exists(trunc) -> PgPair:
     for n in range(trunc + 1):
         pre.intern(n, transformation_key(2, n, lambda c: 1 if any(c) else 0))
         pre.intern(n, transformation_key(2, n, lambda c: 1))
-    gens = [(2, 0), (0, 1), (0, 0)]  # or_2, true_0, false_0
+    gens = [pre.sort(2)[0], pre.sort(0)[1], pre.sort(0)[0]]  # or_2, true_0, false_0
     return PgPair(pre, gens)
 
 
@@ -365,7 +369,7 @@ def t_mod(p, trunc) -> PgPair:
             pre.intern(
                 n, transformation_key(p, n, lambda c, r=r: (sum(c) + r) % p)
             )
-    gens = [(0, 0), (1, 1), (2, 0)]
+    gens = [pre.sort(0)[0], pre.sort(1)[1], pre.sort(2)[0]]
     return PgPair(pre, gens)
 
 
@@ -487,7 +491,7 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True):
     for n, blocks in enumerate(blocks_by_rank):
         for b in range(len(blocks)):
             Q.intern(n, b)
-    Q.set_unit((1, proj[S.unit][1]))
+    Q.set_unit(Q.lookup(1, proj[S.unit][1]))
     return Q, proj
 
 
@@ -792,5 +796,5 @@ def load_preclone(text: str):
     for n in range(trunc + 1):
         for i in range(sizes.get(n, 0)):
             S.intern(n, (n, i))
-    S.set_unit(unit)
-    return S, gens
+    S.set_unit(S.lookup(1, unit))
+    return S, [S.lookup(g[0], g) for g in gens]
