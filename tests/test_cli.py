@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 
 import pytest
 
@@ -285,3 +286,40 @@ def test_removed_flags_are_rejected(argv, tmp_path, capsys):
         main([a.format(tmp=tmp_path / "rec") for a in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# edits of ex10's header (alphabet, rank, lang kpath) that leave a value
+# out, give a bad rank, repeat a once-only line or add a token
+HEADER_FAULTS = {
+    "alphabet_without_value": ("alphabet dbool.alph", "alphabet",
+                               "line 1: expected 'alphabet <path>'"),
+    "rank_without_value": ("rank 0", "rank", "line 2: expected 'rank <k>'"),
+    "lang_without_path": ("lang kpath k_path0.aut", "lang kpath",
+                          "line 3: expected 'lang <name> <path>'"),
+    "rank_not_a_number": ("rank 0", "rank x",
+                          "line 2: rank 'x' is not a non-negative integer"),
+    "negative_rank": ("rank 0", "rank -1",
+                      "line 2: rank '-1' is not a non-negative integer"),
+    "second_rank": ("rank 0", "rank 0\nrank 7", "line 3: a second rank line"),
+    "second_alphabet": ("alphabet dbool.alph", "alphabet dbool.alph\nalphabet dbool.alph",
+                        "line 2: a second alphabet line"),
+    "second_lang": ("lang kpath k_path0.aut", "lang kpath k_path0.aut\nlang kpath k_path0.aut",
+                    "line 4: a second lang kpath line"),
+    "extra_token": ("rank 0", "rank 0 7", "line 2: expected 'rank <k>'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_FAULTS))
+def test_eval_rejects_a_malformed_formula_header(tmp_path, capsys, case):
+    old, new, message = HEADER_FAULTS[case]
+    for name in ("dbool.alph", "k_path0.aut"):  # the header's paths are relative
+        shutil.copy(corp(name), tmp_path / name)
+    text = open(corp("ex10.lind")).read()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.lind"
+    path.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "eval", corp("tree_sat.tr"), str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"  # one line, no traceback
+    path.write_text(text)
+    assert run(capsys, "eval", corp("tree_sat.tr"), str(path))[0] in (0, 1)
