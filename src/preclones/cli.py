@@ -37,12 +37,16 @@ def _read(path):
         return fh.read()
 
 
+_HEADER_VALUES = {"alphabet": "<path>", "rank": "<k>", "lang": "<name> <path>"}
+
+
 def load_formula_file(path):
     """Header lines bind the alphabet, rank and quantifier languages.
 
     Format: ``alphabet <path>``, ``rank <k>``, zero or more ``lang <name>
     <path>`` lines, then a ``formula`` line followed by the formula text
     (possibly spanning several lines).  Paths are relative to the file.
+    The alphabet, the rank and each language are bound once.
     """
     base = os.path.dirname(os.path.abspath(path))
     sigma = None
@@ -50,7 +54,8 @@ def load_formula_file(path):
     langs = {}
     formula_lines = []
     in_formula = False
-    for raw in _read(path).splitlines():
+    bound = set()  # "alphabet", "rank" and "lang <name>"
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if in_formula:
             formula_lines.append(raw)
@@ -58,9 +63,19 @@ def load_formula_file(path):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        values = _HEADER_VALUES.get(parts[0])
+        if values is not None:
+            if len(parts) != 1 + len(values.split()):
+                raise ParseError(f"line {lineno}: expected '{parts[0]} {values}'")
+            name = " ".join(parts[:-1])
+            if name in bound:
+                raise ParseError(f"line {lineno}: a second {name} line")
+            bound.add(name)
         if parts[0] == "alphabet":
             sigma = load_alphabet(os.path.join(base, parts[1]))
         elif parts[0] == "rank":
+            if not parts[1].isdecimal():
+                raise ParseError(f"line {lineno}: rank {parts[1]!r} is not a non-negative integer")
             k = int(parts[1])
         elif parts[0] == "lang":
             langs[parts[1]] = load_automaton(os.path.join(base, parts[2]))
