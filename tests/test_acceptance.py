@@ -48,11 +48,11 @@ from preclones.trees import (
     alphabet,
     compose,
     enumerate_trees,
-    nv_nodes,
     parse_tree,
     rank as tree_rank,
     unit_tuple,
 )
+from tree_oracles import nv_nodes
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 SIG = alphabet("f/2", "a/0", "b/0")

@@ -38,8 +38,9 @@ from preclones.syntactic import (
     insert_in_context,
     stack_contexts,
 )
-from preclones.trees import RankedTree, alphabet, enumerate_trees, factor_at, nv_nodes
+from preclones.trees import RankedTree, alphabet, enumerate_trees
 from preclones.trees import rank as tree_rank
+from tree_oracles import factor_at, nv_nodes
 
 
 def t_left():

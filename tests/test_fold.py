@@ -19,7 +19,6 @@ from preclones.trees import (
     RankedTree,
     alphabet,
     compose,
-    count_nv,
     enumerate_trees,
     fold,
     load_alphabet,
@@ -28,6 +27,7 @@ from preclones.trees import (
     tree_to_text,
     variables_in_order,
 )
+from tree_oracles import count_nv
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 ALPHABETS = {

@@ -59,13 +59,12 @@ from preclones.trees import (
     enumerate_trees,
     forest,
     load_alphabet,
-    nv_nodes,
     parse_tree,
     rank,
     subtree_at,
     tree_to_text,
-    vars_left_of,
 )
+from tree_oracles import nv_nodes, vars_left_of
 
 SIG = alphabet("f/2", "a/0", "b/0")
 DBOOL = boolean_alphabet([0, 2])

@@ -9,23 +9,19 @@ from preclones.trees import (
     alphabet,
     compose,
     compositions,
-    count_nv,
     enumerate_trees,
-    factor_at,
     forest,
     node,
-    nv_nodes,
     oplus,
     parse_tree,
     rank,
-    recompose,
-    symbol_tree,
     total_rank,
     tree_to_text,
     unit_tuple,
     var,
     variables_in_order,
 )
+from tree_oracles import count_nv, factor_at, nv_nodes, recompose, symbol_tree
 
 SIG = alphabet("f/2", "a/0", "b/0")
 
