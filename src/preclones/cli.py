@@ -85,7 +85,7 @@ def load_formula_file(path):
                 formula_lines.append(rest)
             in_formula = True
         else:
-            raise ParseError(f"unknown header line: {line!r}")
+            raise ParseError(f"line {lineno}: unknown header line: {line!r}")
     if sigma is None or k is None or not formula_lines:
         raise ParseError("formula file needs alphabet, rank and formula")
     phi = parse_formula(" ".join(formula_lines), sigma, k, langs)

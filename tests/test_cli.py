@@ -289,7 +289,8 @@ def test_removed_flags_are_rejected(argv, tmp_path, capsys):
 
 
 # edits of ex10's header (alphabet, rank, lang kpath) that leave a value
-# out, give a bad rank, repeat a once-only line or add a token
+# out, give a bad rank, repeat a once-only line, add a token or misspell
+# a keyword
 HEADER_FAULTS = {
     "alphabet_without_value": ("alphabet dbool.alph", "alphabet",
                                "line 1: expected 'alphabet <path>'"),
@@ -306,6 +307,7 @@ HEADER_FAULTS = {
     "second_lang": ("lang kpath k_path0.aut", "lang kpath k_path0.aut\nlang kpath k_path0.aut",
                     "line 4: a second lang kpath line"),
     "extra_token": ("rank 0", "rank 0 7", "line 2: expected 'rank <k>'"),
+    "unknown_keyword": ("rank 0", "rank 0\nranks 0", "line 3: unknown header line: 'ranks 0'"),
 }
 
 
