@@ -4,11 +4,12 @@ Elements are handles ``(rank, index)`` into per-rank tables.  Each
 element has one shared handle tuple, owned by its preclone: ``intern``,
 ``lookup``, the compose memo and every sort hand out that same object,
 and ``sort(n)`` returns a cached tuple of them, rebuilt only when the
-sort has grown.  Every preclone carries a truncation bound R and rejects
-compositions whose result rank would exceed it.  Concrete families (transformations of an
-automaton's state set, direct products, quotients, generated
-sub-preclones, loaded dumps) share one interned-table representation and
-differ only in their raw composition rule on keys.
+sort has grown.  Every preclone carries a truncation bound R and
+rejects compositions whose result rank would exceed it.  Concrete
+families (transformations of an automaton's state set, direct products,
+quotients, generated sub-preclones, loaded dumps) share one
+interned-table representation and differ only in their raw composition
+rule on keys.
 """
 
 from __future__ import annotations
