@@ -115,7 +115,8 @@ def test_syntactic_rejects_a_state_outside_the_declared_states(tmp_path, capsys,
 
 
 # edits of RANK1_AUT that give a letter two arities, place a variable
-# outside the rank or repeat a line that must come once
+# outside the rank, repeat a line that must come once, add a token or
+# make a count negative
 MALFORMED = {
     "two_arities": ("trans g 1 -> 1", "trans g 1 0 -> 1", "line 7: g already has arity 1"),
     "var_outside_rank": ("var 1 0", "var 1 0\nvar 3 1", "line 5: variable v3 outside rank 1"),
@@ -123,6 +124,13 @@ MALFORMED = {
     "second_states": ("states 2", "states 2\nstates 2", "line 3: a second states line"),
     "second_finals": ("finals 1", "finals 1\nfinals 0", "line 4: a second finals line"),
     "second_var": ("var 1 0", "var 1 0\nvar 1 1", "line 5: a second var 1 line"),
+    "rank_extra": ("rank 1", "rank 1 5", "line 1: expected 'rank <k>'"),
+    "states_extra": ("states 2", "states 2 9", "line 2: expected 'states <n>'"),
+    "trans_extra": ("trans a -> 0", "trans a -> 0 1",
+                    "line 5: expected 'trans <letter> <state>... -> <state>'"),
+    "negative_rank": ("rank 1", "rank -1", "line 1: rank '-1' is not a non-negative integer"),
+    "negative_states": ("states 2", "states -1",
+                        "line 2: states '-1' is not a non-negative integer"),
 }
 
 
@@ -325,3 +333,151 @@ def test_eval_rejects_a_malformed_formula_header(tmp_path, capsys, case):
     assert err == f"error: {message}\n"  # one line, no traceback
     path.write_text(text)
     assert run(capsys, "eval", corp("tree_sat.tr"), str(path))[0] in (0, 1)
+
+
+# a generator file for blockprod over t_exists(2)'s dump with k = 0: per
+# line a T-element f, then F's S-elements at the contexts of f's rank
+GENERATORS = "# f F...\n0.1 0.0 0.1\n0.0 0.1 0.1\n"
+
+
+def blockprod_with_generators(tmp_path, capsys, text):
+    path = tmp_path / "gens.txt"
+    path.write_text(text)
+    return run(capsys, "blockprod", GOLDEN_DUMP, GOLDEN_DUMP, "--k", "0",
+               "--trunc", "2", "--generators", str(path))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("0.1 0.0 0.1", "0.7 0.0 0.1", "line 2: element 0.7 outside the declared sorts"),
+    ("0.1 0.0 0.1", "0.1 0.0 9.9", "line 2: element 9.9 outside the declared sorts"),
+    ("0.0 0.1 0.1", "0.0 0.1 0.1 0.1", "line 3: F table does not match the context enumeration"),
+], ids=["f_outside", "F_outside", "F_too_long"])
+def test_blockprod_rejects_a_generator_token_outside_the_dump(tmp_path, capsys, old, new, message):
+    code, out, _ = blockprod_with_generators(tmp_path, capsys, GENERATORS)
+    assert code == 0 and out.startswith("carrier ")
+    code, out, err = blockprod_with_generators(tmp_path, capsys, GENERATORS.replace(old, new))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# edits of the t_exists(2) dump that repeat a once-only line or add a token
+DUMP_FAULTS = {
+    "second_trunc": ("trunc 2\n", "trunc 2\ntrunc 2\n", "dump line 2: a second trunc line"),
+    "second_unit": ("unit 1.0\n", "unit 1.0\nunit 1.1\n", "dump line 6: a second unit line"),
+    "second_sort": ("sort 1 2\n", "sort 1 2\nsort 1 3\n", "dump line 4: a second sort 1 line"),
+    "second_desc": ("desc 1.0 or_1\n", "desc 1.0 or_1\ndesc 1.0 and_1\n",
+                    "dump line 9: a second desc 1.0 line"),
+    "trunc_extra": ("trunc 2\n", "trunc 2 7\n", "dump line 1: expected 'trunc <k>'"),
+    "unit_extra": ("unit 1.0\n", "unit 1.0 junk\n", "dump line 5: expected 'unit <el>'"),
+    "gen_extra": ("gen 0.1\n", "gen 0.1 9.9\n", "dump line 13: expected 'gen <el>'"),
+    "comp_extra": ("comp 1: 1.0 (0.0) -> 0.0\n", "comp 1: 1.0 (0.0) -> 0.0 0.1\n",
+                   "dump line 17: expected 'comp <n>: <f> (<g>...) -> <h>'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUMP_FAULTS))
+def test_axioms_rejects_a_malformed_dump_line(tmp_path, capsys, case):
+    old, new, message = DUMP_FAULTS[case]
+    code, out, err = run(capsys, "axioms", "--dump", edited_dump(tmp_path, old, new))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# edits of sigma_ex.alph (f/2, a/0, b/0)
+ALPHABET_FAULTS = {
+    "arity_not_a_number": ("a/0", "a/x", "line 2: arity 'x' is not a non-negative integer"),
+    "no_arity": ("a/0", "a", "line 2: expected '<name>/<arity>'"),
+    "negative_arity": ("a/0", "a/-1", "line 2: arity '-1' is not a non-negative integer"),
+    "extra_token": ("a/0", "a/0 b/0", "line 2: expected '<name>/<arity>'"),
+    "no_name": ("a/0", "/0", "line 2: expected '<name>/<arity>'"),
+    "second_symbol": ("b/0", "b/0\nf/1", "line 4: a second line for symbol 'f'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALPHABET_FAULTS))
+def test_enumerate_rejects_a_malformed_alphabet_line(tmp_path, capsys, case):
+    old, new, message = ALPHABET_FAULTS[case]
+    text = open(corp("sigma_ex.alph")).read()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.alph"
+    path.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "enumerate", "--alphabet", str(path),
+                         "--rank", "0", "--max-nv", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+# edits of the files ex10's header names; the error carries the header's
+# line number and the named file's path before the file's own line
+NAMED_FILE_FAULTS = {
+    "lang": ("k_path0.aut", "finals 1", "finals 7",
+             "line 3: k_path0.aut line 3: state 7 outside 0..1"),
+    "alphabet": ("dbool.alph", "1_0/0", "1_0/x",
+                 "line 1: dbool.alph line 1: arity 'x' is not a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FILE_FAULTS))
+def test_eval_names_the_file_a_formula_header_reads(tmp_path, capsys, case):
+    name, old, new, message = NAMED_FILE_FAULTS[case]
+    for copied in ("dbool.alph", "k_path0.aut", "ex10.lind"):
+        shutil.copy(corp(copied), tmp_path / copied)
+    text = open(corp(name)).read()
+    assert text.count(old) == 1
+    (tmp_path / name).write_text(text.replace(old, new))
+    code, out, err = run(capsys, "eval", corp("tree_sat.tr"), str(tmp_path / "ex10.lind"))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def mutated(text, rng):
+    """text after one to three seeded one-character edits, each an insert,
+    a delete or a replace, drawing from the text's own characters and a
+    few that the formats give meaning to."""
+    pool = sorted(set(text) | set("0123456789-.#/ \n"))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(pool)
+        text = rng.choice([text[:i] + c + text[i:], text[:i] + text[i + 1:],
+                           text[:i] + c + text[i + 1:]])
+    return text
+
+
+# per format: the corpus file mutated, the files copied next to it and the
+# command that reads it ({path} the mutated copy)
+PROBED = {
+    "automaton": ("k_path0.aut", (), ["syntactic", "{path}"]),
+    "dump": (GOLDEN_DUMP, (), ["axioms", "--dump", "{path}"]),
+    "formula": ("ex10.lind", ("dbool.alph", "k_path0.aut"),
+                ["eval", corp("tree_sat.tr"), "{path}"]),
+    "alphabet": ("sigma_ex.alph", (), ["enumerate", "--alphabet", "{path}",
+                                       "--rank", "0", "--max-nv", "3"]),
+    "generators": (None, (), ["blockprod", GOLDEN_DUMP, GOLDEN_DUMP, "--k", "0",
+                              "--trunc", "2", "--generators", "{path}"]),
+    "tree": ("tree_sat.tr", (), ["eval", "{path}", corp("ex01.lind")]),
+}
+MUTATIONS = 180
+
+
+@pytest.mark.parametrize("fmt", sorted(PROBED))
+def test_a_mutated_file_gives_a_verdict_or_one_error_line(tmp_path, capsys, fmt):
+    import random
+
+    name, copied, argv = PROBED[fmt]
+    text = GENERATORS if name is None else open(corp(name)).read()
+    for other in copied:
+        shutil.copy(corp(other), tmp_path / other)
+    path = tmp_path / "mutated"
+    argv = [a.format(path=path) for a in argv]
+    faults = []
+    for seed in range(MUTATIONS):
+        path.write_text(mutated(text, random.Random(seed)))
+        try:
+            code = main(argv)
+        except Exception as exc:  # the probe reports what escapes main
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 1) and not (code == 2 and err.startswith("error: ")
+                                       and err.count("\n") == 1):
+            faults.append((seed, code, err))
+    assert faults == []

@@ -3,7 +3,8 @@
 The oracle for a sort is the list of handles built afresh,
 ``[(n, i) for i in range(sort_size(n))]``.  Every reader (``intern``,
 ``lookup``, ``sort``, ``elements``, ``iter_tuples``, the compose memo, a
-morphism's image, a loaded dump's unit and generators) must hand out the
+morphism's image, a loaded dump's unit and generators, a quotient's
+projection) must hand out the
 sort's own tuple, and a sort read before an ``intern`` must not hide the
 new element from a later read.
 """
@@ -18,10 +19,12 @@ from preclones.automata import boolean_alphabet, k_exists
 from preclones.blockprod import BlockProduct
 from preclones.cli import load_formula_file
 from preclones.logic import free_vars
+from preclones.syntactic import syntactic_pgpair
 from preclones.preclone import (
     FinitaryPreclone,
     dump_preclone,
     load_preclone,
+    quotient,
     t_exists,
     t_mod,
     transformation_pgpair,
@@ -52,6 +55,19 @@ def pgpair(pg):
     return pg.preclone, pg.generators
 
 
+def identity_quotient():
+    S = t_mod(2, 3).preclone
+    Q, proj = quotient(S, [[[el] for el in S.sort(n)] for n in range(S.trunc + 1)])
+    return Q, list(proj.values())
+
+
+def syntactic():
+    syn = syntactic_pgpair(k_exists(DBOOL, 1), 3)
+    handed_out = (list(syn.projection.values()) + syn.pgpair.generators
+                  + list(syn.morphism.image.values()) + sorted(syn.accepting))
+    return syn.pgpair.preclone, handed_out
+
+
 CARRIERS = {
     "t_exists": lambda: pgpair(t_exists(3)),
     "t_2": lambda: pgpair(t_mod(2, 3)),
@@ -59,6 +75,8 @@ CARRIERS = {
     "ex04": lambda: compiled("ex04"),
     "ex27": lambda: compiled("ex27"),
     "loaded": loaded,
+    "identity_quotient": identity_quotient,
+    "syntactic": syntactic,
 }
 
 
