@@ -21,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
-from .errors import ParseError
+from .errors import ParseError, natural, read_lines
 from .trees import (
     RankedAlphabet,
     RankedTree,
@@ -470,57 +470,49 @@ def automaton_to_text(a: TreeAutomaton) -> str:
 
 
 def automaton_from_text(text: str) -> TreeAutomaton:
-    rank_k = n_states = finals = None
-    var_entries, trans, arity = {}, {}, {}
-    once = {}  # the rank, states, finals and var j lines: key -> line
+    head, var, trans, arity = {}, {}, {}, {}
     named = []  # (line, state) of every state a line names
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kw = parts[0]
-        try:
-            key = f"var {int(parts[1])}" if kw == "var" else kw
-            if kw != "trans" and once.setdefault(key, lineno) != lineno:
-                raise ParseError(f"line {lineno}: a second {key} line")
-            if kw == "rank":
-                rank_k = int(parts[1])
-            elif kw == "states":
-                n_states = int(parts[1])
-            elif kw == "finals":
-                finals = frozenset(int(p) for p in parts[1:])
-                named += [(lineno, q) for q in finals]
-            elif kw == "var":
-                var_entries[int(parts[1])] = int(parts[2])
-                named.append((lineno, int(parts[2])))
-            elif kw == "trans":
-                arrow = parts.index("->")
-                name = parts[1]
-                combo = tuple(int(p) for p in parts[2:arrow])
-                target = int(parts[arrow + 1])
-                if arity.setdefault(name, len(combo)) != len(combo):
-                    raise ParseError(f"line {lineno}: {name} already has arity {arity[name]}")
-                if combo in trans.setdefault(name, {}):
-                    raise ParseError(f"line {lineno}: duplicate transition")
-                trans[name][combo] = target
-                named += [(lineno, q) for q in combo + (target,)]
-            else:
-                raise ParseError(f"line {lineno}: unknown keyword {kw!r}")
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    if rank_k is None or n_states is None or finals is None:
+
+    def line(lineno, kw, values):
+        if kw in ("rank", "states"):
+            head[kw] = natural(kw, values[0])
+        elif kw == "finals":
+            head[kw] = frozenset(map(int, values))
+            named.extend((lineno, q) for q in head[kw])
+        elif kw == "var":
+            j = int(values[0])
+            if var.setdefault(j, (lineno, int(values[1])))[0] != lineno:
+                raise ParseError(f"a second var {j} line")
+            named.append(var[j])
+        else:
+            name, *combo, arrow, target = values
+            if arrow != "->":
+                raise ParseError(f"expected '->' before the target, not {arrow!r}")
+            combo, target = tuple(map(int, combo)), int(target)
+            if arity.setdefault(name, len(combo)) != len(combo):
+                raise ParseError(f"{name} already has arity {arity[name]}")
+            if combo in trans.setdefault(name, {}):
+                raise ParseError("duplicate transition")
+            trans[name][combo] = target
+            named.extend((lineno, q) for q in combo + (target,))
+
+    usage = {"rank": "<k>", "states": "<n>", "finals": "<state>...", "var": "<j> <state>",
+             "trans": "<letter> <state>... -> <state>"}
+    read_lines(text, usage, line, once=("rank", "states", "finals"))
+    if len(head) < 3:
         raise ParseError("missing rank/states/finals line")
+    rank_k, n_states = head["rank"], head["states"]
     for lineno, q in named:  # the states line may come after these
         if not 0 <= q < n_states:
             raise ParseError(f"line {lineno}: state {q} outside 0..{n_states - 1}")
-    var_state = tuple(var_entries.pop(j, -1) for j in range(1, rank_k + 1))
-    for j in var_entries:  # the var lines left lie outside 1..rank
-        raise ParseError(f"line {once[f'var {j}']}: variable v{j} outside rank {rank_k}")
-    if any(q < 0 for q in var_state):
+    for j, (lineno, _) in var.items():
+        if not 1 <= j <= rank_k:
+            raise ParseError(f"line {lineno}: variable v{j} outside rank {rank_k}")
+    if len(var) < rank_k:
         raise ParseError("missing var line")
+    var_state = tuple(var[j][1] for j in range(1, rank_k + 1))
     alph = RankedAlphabet(tuple(arity.items()))
-    return TreeAutomaton(alph, rank_k, n_states, var_state, trans, finals)
+    return TreeAutomaton(alph, rank_k, n_states, var_state, trans, head["finals"])
 
 
 def load_automaton(path) -> TreeAutomaton:

@@ -39,7 +39,7 @@ from .preclone import (
     PgPair,
     generated,
 )
-from .syntactic import Context, context_blocks, enumerate_contexts, stack_under
+from .syntactic import Context, block_contexts, context_blocks, stack_under
 from .trees import RankedTree, fold, rank as tree_rank
 
 
@@ -59,12 +59,13 @@ class BlockProduct:
             raise RankOverflow("T must be truncated at rank >= k+1 for contexts")
         if S.trunc < self.trunc:
             raise RankOverflow("S must be truncated at least at the product's bound")
-        self.contexts = [enumerate_contexts(T, k, n) for n in range(self.trunc + 1)]
+        # per width, one walk of the context blocks gives the contexts and
+        # (k1, k2) -> (offset, {v: position}); see column
+        blocks = [list(context_blocks(T, k, n)) for n in range(self.trunc + 1)]
+        self.contexts = [block_contexts(T, bs) for bs in blocks]
         self.ctx_index = [{c: i for i, c in enumerate(cs)} for cs in self.contexts]
-        # per width, (k1, k2) -> (offset, {v: position}); see column
         self._blocks = [{(k1, k2): (offset, {v: i for i, v in enumerate(vs)})
-                         for k1, k2, offset, vs in context_blocks(T, k, n)}
-                        for n in range(self.trunc + 1)]
+                         for k1, k2, offset, vs in bs} for bs in blocks]
         self._columns = {}  # path of holes -> index column, see column
         self._plans = {}  # (f, gs) -> a gather per table compose reads
 

@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
 from .automata import load_automaton
 from .blockprod import BlockProduct, block_product_pg
 from .compiler import check_equivalence, compile_formula
-from .errors import PrecloneError, ParseError
+from .errors import PrecloneError, ParseError, natural, read_lines
 from .logic import free_vars, parse_formula, satisfies
 from .preclone import (
     check_axioms,
     dump_preclone,
     el_token,
+    element,
     load_preclone,
     parse_el,
     PgPair,
@@ -37,9 +39,6 @@ def _read(path):
         return fh.read()
 
 
-_HEADER_VALUES = {"alphabet": "<path>", "rank": "<k>", "lang": "<name> <path>"}
-
-
 def load_formula_file(path):
     """Header lines bind the alphabet, rank and quantifier languages.
 
@@ -49,47 +48,31 @@ def load_formula_file(path):
     The alphabet, the rank and each language are bound once.
     """
     base = os.path.dirname(os.path.abspath(path))
-    sigma = None
-    k = None
-    langs = {}
-    formula_lines = []
-    in_formula = False
-    bound = set()  # "alphabet", "rank" and "lang <name>"
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if in_formula:
-            formula_lines.append(raw)
-            continue
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        values = _HEADER_VALUES.get(parts[0])
-        if values is not None:
-            if len(parts) != 1 + len(values.split()):
-                raise ParseError(f"line {lineno}: expected '{parts[0]} {values}'")
-            name = " ".join(parts[:-1])
-            if name in bound:
-                raise ParseError(f"line {lineno}: a second {name} line")
-            bound.add(name)
-        if parts[0] == "alphabet":
-            sigma = load_alphabet(os.path.join(base, parts[1]))
-        elif parts[0] == "rank":
-            if not parts[1].isdecimal():
-                raise ParseError(f"line {lineno}: rank {parts[1]!r} is not a non-negative integer")
-            k = int(parts[1])
-        elif parts[0] == "lang":
-            langs[parts[1]] = load_automaton(os.path.join(base, parts[2]))
-        elif parts[0] == "formula":
-            rest = line[len("formula"):].strip()
-            if rest:
-                formula_lines.append(rest)
-            in_formula = True
+    header, *formula = re.split(r"^\s*formula(?!\S)", _read(path), maxsplit=1, flags=re.M)
+    head, langs = {}, {}
+
+    def named(name, load):
+        try:
+            return load(os.path.join(base, name))
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"{name} {exc}") from None
+
+    def line(lineno, kw, values):
+        if kw == "alphabet":
+            head[kw] = named(values[0], load_alphabet)
+        elif kw == "rank":
+            head[kw] = natural(kw, values[0])
+        elif values[0] in langs:
+            raise ParseError(f"a second lang {values[0]} line")
         else:
-            raise ParseError(f"line {lineno}: unknown header line: {line!r}")
-    if sigma is None or k is None or not formula_lines:
+            langs[values[0]] = named(values[1], load_automaton)
+
+    usage = {"alphabet": "<path>", "rank": "<k>", "lang": "<name> <path>"}
+    read_lines(header, usage, line, once=("alphabet", "rank"))
+    if len(head) < 2 or not formula or not formula[0].strip():
         raise ParseError("formula file needs alphabet, rank and formula")
-    phi = parse_formula(" ".join(formula_lines), sigma, k, langs)
-    return phi, sigma, k, langs
+    sigma, k = head["alphabet"], head["rank"]
+    return parse_formula(formula[0].strip(), sigma, k, langs), sigma, k, langs
 
 
 def cmd_eval(args):
@@ -108,19 +91,16 @@ def cmd_compile(args):
     rec = compile_formula(phi, sigma, variables, k, budget=args.budget)
     os.makedirs(args.out, exist_ok=True)
     pre = rec.pgpair.preclone
-    with open(os.path.join(args.out, "carrier.pre"), "w") as fh:
-        fh.write(dump_preclone(pre, rec.pgpair.generators, result_cap=k))
-    with open(os.path.join(args.out, "gamma.map"), "w") as fh:
-        for name, _ in rec.ext_alphabet.symbols:
-            fh.write(f"{name} -> {el_token(rec.gamma.image[name])}\n")
-    with open(os.path.join(args.out, "accepting.txt"), "w") as fh:
-        for el in sorted(rec.accepting):
-            fh.write(el_token(el) + "\n")
-    with open(os.path.join(args.out, "meta.txt"), "w") as fh:
-        fh.write(f"rank {k}\nvariables {' '.join(variables) or '-'}\n")
-        fh.write(
-            "sorts " + " ".join(str(pre.sort_size(n)) for n in range(pre.trunc + 1)) + "\n"
-        )
+    files = {
+        "carrier.pre": dump_preclone(pre, rec.pgpair.generators, result_cap=k),
+        "gamma.map": "".join(f"{name} -> {el_token(rec.gamma.image[name])}\n"
+                             for name, _ in rec.ext_alphabet.symbols),
+        "accepting.txt": "".join(el_token(el) + "\n" for el in sorted(rec.accepting)),
+        "meta.txt": f"rank {k}\nvariables {' '.join(variables) or '-'}\nsorts {_sizes(pre)}\n",
+    }
+    for name, text in files.items():
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(text)
     print(f"wrote recognizer to {args.out}")
     return 0
 
@@ -146,11 +126,7 @@ def cmd_syntactic(args):
     trunc = args.trunc if args.trunc is not None else a.rank + 1 + a.alphabet.max_arity
     syn = syntactic_pgpair(a, trunc, budget=args.budget)
     Q = syn.pgpair.preclone
-    counts = " ".join(str(Q.sort_size(n)) for n in range(Q.trunc + 1))
-    out = [f"classes {counts}"]
-    out.append(dump_preclone(Q, syn.pgpair.generators).rstrip("\n"))
-    text = "\n".join(out) + "\n"
-    _emit(args, text)
+    _emit(args, f"classes {_sizes(Q)}\n" + dump_preclone(Q, syn.pgpair.generators))
     return 0
 
 
@@ -159,25 +135,16 @@ def cmd_blockprod(args):
     T, t_gens = load_preclone(_read(args.t_dump))
     if args.generators:
         bp = BlockProduct(S, T, args.k, trunc=args.trunc)
-        gen_keys = []
-        for line in _read(args.generators).splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            f = parse_el(toks[0])
-            F = tuple(parse_el(t) for t in toks[1:])
-            gen_keys.append(bp.make(F, f))
+        gen_keys = []  # per line: f in T, then F's values in S
+        read_lines(_read(args.generators), None, lambda lineno, f, F: gen_keys.append(
+            bp.make([element(S, parse_el(x)) for x in F], element(T, parse_el(f)))))
         pg = bp.carrier_pgpair(gen_keys, budget=args.budget)
     else:
         _, pg = block_product_pg(
             PgPair(S, s_gens), PgPair(T, t_gens), args.k,
             trunc=args.trunc, budget=args.budget,
         )
-    pre = pg.preclone
-    sizes = " ".join(str(pre.sort_size(n)) for n in range(pre.trunc + 1))
-    text = f"carrier {sizes}\n" + dump_preclone(pre, pg.generators)
-    _emit(args, text)
+    _emit(args, f"carrier {_sizes(pg.preclone)}\n" + dump_preclone(pg.preclone, pg.generators))
     return 0
 
 
@@ -217,6 +184,11 @@ def cmd_axioms(args):
     for v in rep.violations[:10]:
         print("violation:", v)
     return 0 if rep.ok else 1
+
+
+def _sizes(pre):
+    """The sort sizes of ``pre``, ranks 0 to its truncation, on one line."""
+    return " ".join(str(pre.sort_size(n)) for n in range(pre.trunc + 1))
 
 
 def _emit(args, text):

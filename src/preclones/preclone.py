@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .automata import explore
-from .errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow
+from .errors import BudgetExceeded, NotACongruence, ParseError, RankOverflow, natural, read_lines
 from .trees import RankedAlphabet, RankedTree, compositions, fold
 
 El = tuple  # (rank, index)
@@ -448,51 +448,35 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True):
     that the block of f.(gs) depends only on the blocks involved, raising
     NotACongruence with a witness otherwise.
     """
-    proj = {}
-    for n, blocks in enumerate(blocks_by_rank):
-        seen = set()
-        for b, block in enumerate(blocks):
-            for el in block:
-                if el[0] != n:
-                    raise ValueError("partition relates elements of unequal rank")
-                if el in proj:
-                    raise ValueError("partition blocks overlap")
-                proj[el] = (n, b)
-                seen.add(el)
-        if len(seen) != S.sort_size(n):
-            raise ValueError(f"partition does not cover sort {n}")
-
-    if verify:
-        sig = {}
-        for f, gs in S.iter_compositions():
-            key = (proj[f], tuple(proj[g] for g in gs))
-            got = proj[S.compose(f, gs)]
-            prev = sig.get(key)
-            if prev is None:
-                sig[key] = got
-            elif prev != got:
-                raise NotACongruence(
-                    "composition does not respect the partition",
-                    witness=(f, gs),
-                )
-
-    reps = [dict() for _ in range(S.trunc + 1)]
-    for el, cls in proj.items():
-        reps[cls[0]].setdefault(cls[1], el)
+    proj, reps = {}, []  # reps[n][b]: the first element of block b of sort n
 
     def compose_raw(fkey, frank, gkeys):
         f_rep = reps[frank][fkey]
         g_reps = [reps[grank][gkey] for gkey, grank in gkeys]
         return proj[S.compose(f_rep, g_reps)][1]
 
-    def describe(key, rank):
-        return "[" + S.describe(reps[rank][key]) + "]"
-
-    Q = FinitaryPreclone(S.trunc, compose_raw, describe)
+    Q = FinitaryPreclone(S.trunc, compose_raw,
+                         lambda key, rank: "[" + S.describe(reps[rank][key]) + "]")
     for n, blocks in enumerate(blocks_by_rank):
-        for b in range(len(blocks)):
-            Q.intern(n, b)
-    Q.set_unit(Q.lookup(1, proj[S.unit][1]))
+        reps.append([block[0] for block in blocks])
+        for b, block in enumerate(blocks):
+            cls = Q.intern(n, b)
+            for el in block:
+                if el[0] != n or el in proj:
+                    raise ValueError("partition blocks overlap or mix ranks")
+                proj[el] = cls
+        if sum(map(len, blocks)) != S.sort_size(n):
+            raise ValueError(f"partition does not cover sort {n}")
+
+    if verify:
+        sig = {}  # (block of f, blocks of gs) -> block of f.(gs)
+        for f, gs in S.iter_compositions():
+            got = proj[S.compose(f, gs)]
+            if sig.setdefault((proj[f], tuple(proj[g] for g in gs)), got) != got:
+                raise NotACongruence("composition does not respect the partition",
+                                     witness=(f, gs))
+
+    Q.set_unit(proj[S.unit])
     return Q, proj
 
 
@@ -726,63 +710,56 @@ def dump_preclone(S: FinitaryPreclone, generators=None, result_cap=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def element(S: FinitaryPreclone, el) -> El:
+    """S's own handle of el, a (rank, index) pair read from text."""
+    if not (0 <= el[0] <= S.trunc and 0 <= el[1] < S.sort_size(el[0])):
+        raise ParseError(f"element {el_token(el)} outside the declared sorts")
+    return S.sort(el[0])[el[1]]
+
+
 def load_preclone(text: str):
     """Rebuild a table-backed preclone from a dump; returns (S, generators)."""
-    trunc = None
-    sizes = {}
-    unit = None
-    descs = {}
-    gens = []
-    table = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kw = parts[0]
-        try:
-            if kw == "trunc":
-                trunc = int(parts[1])
-            elif kw == "sort":
-                sizes[int(parts[1])] = int(parts[2])
-            elif kw == "unit":
-                unit = parse_el(parts[1])
-            elif kw == "desc":
-                descs[parse_el(parts[1])] = " ".join(parts[2:])
-            elif kw == "gen":
-                gens.append(parse_el(parts[1]))
-            elif kw == "comp":
-                f = parse_el(parts[2])
-                close_i = parts.index("->")
-                args = tuple(
-                    parse_el(p.strip("()"))
-                    for p in parts[3:close_i]
-                    if p.strip("()")
-                )
-                h = parse_el(parts[close_i + 1])
-                if not int(parts[1].rstrip(":")) == f[0] == len(args):
-                    raise ValueError(f"{len(args)} arguments under '{parts[1]}' "
-                                     f"for {el_token(f)} of rank {f[0]}")
-                m = sum(g[0] for g in args)
-                if h[0] != m:
-                    raise ValueError(f"result {el_token(h)} does not have the "
-                                     f"argument ranks' sum {m}")
-                if (f, args) in table:
-                    raise ValueError(f"second comp line for the same {el_token(f)} "
-                                     f"({' '.join(map(el_token, args))})")
-                table[(f, args)] = h
-            else:
-                raise ParseError(f"unknown keyword {kw!r}")
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"dump line {lineno}: {exc}") from None
-    if trunc is None or unit is None:
+    head, sizes, descs, gens, table = {}, {}, {}, [], {}
+
+    def line(lineno, kw, values):
+        if kw == "trunc":
+            head[kw] = natural(kw, values[0])
+        elif kw == "unit":
+            head[kw] = parse_el(values[0])
+        elif kw == "sort":
+            n = natural(kw, values[0])
+            if n in sizes:
+                raise ParseError(f"a second sort {n} line")
+            sizes[n] = natural("size", values[1])
+        elif kw == "desc":
+            el = parse_el(values[0])
+            if el in descs:
+                raise ParseError(f"a second desc {el_token(el)} line")
+            descs[el] = " ".join(values[1:])
+        elif kw == "gen":
+            gens.append(parse_el(values[0]))
+        else:
+            width, f, *args, arrow, h = values
+            if arrow != "->":
+                raise ParseError(f"expected '->' before the result, not {arrow!r}")
+            f, h = parse_el(f), parse_el(h)
+            args = tuple(parse_el(p.strip("()")) for p in args if p.strip("()"))
+            if not int(width.rstrip(":")) == f[0] == len(args):
+                raise ParseError(f"{len(args)} arguments under '{width}' for {el_token(f)}")
+            if h[0] != sum(g[0] for g in args):
+                raise ParseError(f"result {el_token(h)} does not have the argument ranks' sum")
+            if (f, args) in table:
+                raise ParseError(f"second comp line for {' '.join(values[1:-2])}")
+            table[(f, args)] = h
+
+    usage = {"trunc": "<k>", "sort": "<n> <size>", "unit": "<el>", "desc": "<el> <text>...",
+             "gen": "<el>", "comp": "<n>: <f> (<g>...) -> <h>"}
+    read_lines(text, usage, line, once=("trunc", "unit"), label="dump line")
+    if len(head) < 2:
         raise ParseError("dump missing trunc or unit line")
+    trunc, unit = head["trunc"], head["unit"]
     if unit[0] != 1:
         raise ParseError(f"unit {el_token(unit)} is not of rank 1")
-    tokens = [unit, *gens] + [el for (f, gs), h in table.items() for el in (f, *gs, h)]
-    for el in tokens:
-        if not (0 <= el[0] <= trunc and 0 <= el[1] < sizes.get(el[0], 0)):
-            raise ParseError(f"element {el_token(el)} outside the declared sorts")
 
     def compose_raw(fkey, frank, gkeys):
         entry = table.get((fkey, tuple(g for g, _ in gkeys)))
@@ -790,12 +767,13 @@ def load_preclone(text: str):
             raise ParseError(f"dump has no composition for {fkey} {gkeys}")
         return entry
 
-    def describe(key, rank):
-        return descs.get(key, str(key))
-
-    S = FinitaryPreclone(trunc, compose_raw, describe)
+    S = FinitaryPreclone(trunc, compose_raw, lambda key, rank: descs.get(key, str(key)))
     for n in range(trunc + 1):
         for i in range(sizes.get(n, 0)):
             S.intern(n, (n, i))
-    S.set_unit(S.lookup(1, unit))
-    return S, [S.lookup(g[0], g) for g in gens]
+    S.set_unit(element(S, unit))
+    gens = [element(S, g) for g in gens]
+    for (f, gs), h in table.items():
+        for el in (f, *gs, h):
+            element(S, el)
+    return S, gens

@@ -39,12 +39,13 @@ class Context(NamedTuple):
 def enumerate_contexts(T: FinitaryPreclone, k: int, n: int):
     """All n-ary contexts in sort k over T's carrier, deterministic order:
     the blocks of ``context_blocks`` one after another."""
-    return [
-        Context(u, k1, v, k2)
-        for k1, k2, _, vs in context_blocks(T, k, n)
-        for u in T.sort(k1 + 1 + k2)
-        for v in vs
-    ]
+    return block_contexts(T, context_blocks(T, k, n))
+
+
+def block_contexts(T: FinitaryPreclone, blocks):
+    """The contexts of ``context_blocks``' blocks, in order."""
+    return [Context(u, k1, v, k2) for k1, k2, _, vs in blocks
+            for u in T.sort(k1 + 1 + k2) for v in vs]
 
 
 def context_blocks(T: FinitaryPreclone, k: int, n: int):

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, natural, read_lines
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,20 @@ def alphabet(*symbols):
 
 
 def load_alphabet(path):
-    """Read an alphabet file: one name/arity per line, blank lines ignored."""
-    syms = []
+    """Read an alphabet file: one ``name/arity`` per line."""
+    syms = {}
+
+    def line(lineno, word, rest):
+        name, slash, ar = word.partition("/")
+        if rest or not name or not slash:
+            raise ParseError("expected '<name>/<arity>'")
+        if name in syms:
+            raise ParseError(f"a second line for symbol {name!r}")
+        syms[name] = natural("arity", ar)
+
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, ar = line.partition("/")
-            if not ar:
-                raise ParseError(f"bad alphabet line: {line!r}")
-            syms.append((name, int(ar)))
-    return RankedAlphabet(tuple(syms))
+        read_lines(fh.read(), None, line)
+    return RankedAlphabet(tuple(syms.items()))
 
 
 @dataclass(frozen=True)

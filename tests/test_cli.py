@@ -127,7 +127,7 @@ MALFORMED = {
     "rank_extra": ("rank 1", "rank 1 5", "line 1: expected 'rank <k>'"),
     "states_extra": ("states 2", "states 2 9", "line 2: expected 'states <n>'"),
     "trans_extra": ("trans a -> 0", "trans a -> 0 1",
-                    "line 5: expected 'trans <letter> <state>... -> <state>'"),
+                    "line 5: expected '->' before the target, not '0'"),
     "negative_rank": ("rank 1", "rank -1", "line 1: rank '-1' is not a non-negative integer"),
     "negative_states": ("states 2", "states -1",
                         "line 2: states '-1' is not a non-negative integer"),
@@ -315,7 +315,7 @@ HEADER_FAULTS = {
     "second_lang": ("lang kpath k_path0.aut", "lang kpath k_path0.aut\nlang kpath k_path0.aut",
                     "line 4: a second lang kpath line"),
     "extra_token": ("rank 0", "rank 0 7", "line 2: expected 'rank <k>'"),
-    "unknown_keyword": ("rank 0", "rank 0\nranks 0", "line 3: unknown header line: 'ranks 0'"),
+    "unknown_keyword": ("rank 0", "rank 0\nranks 0", "line 3: unknown keyword 'ranks'"),
 }
 
 
@@ -371,7 +371,7 @@ DUMP_FAULTS = {
     "unit_extra": ("unit 1.0\n", "unit 1.0 junk\n", "dump line 5: expected 'unit <el>'"),
     "gen_extra": ("gen 0.1\n", "gen 0.1 9.9\n", "dump line 13: expected 'gen <el>'"),
     "comp_extra": ("comp 1: 1.0 (0.0) -> 0.0\n", "comp 1: 1.0 (0.0) -> 0.0 0.1\n",
-                   "dump line 17: expected 'comp <n>: <f> (<g>...) -> <h>'"),
+                   "dump line 17: expected '->' before the result, not '0.0'"),
 }
 
 
