@@ -474,17 +474,7 @@ def automaton_from_text(text: str) -> TreeAutomaton:
     named = []  # (line, state) of every state a line names
 
     def line(lineno, kw, values):
-        if kw in ("rank", "states"):
-            head[kw] = natural(kw, values[0])
-        elif kw == "finals":
-            head[kw] = frozenset(map(int, values))
-            named.extend((lineno, q) for q in head[kw])
-        elif kw == "var":
-            j = int(values[0])
-            if var.setdefault(j, (lineno, int(values[1])))[0] != lineno:
-                raise ParseError(f"a second var {j} line")
-            named.append(var[j])
-        else:
+        if kw == "trans":
             name, *combo, arrow, target = values
             if arrow != "->":
                 raise ParseError(f"expected '->' before the target, not {arrow!r}")
@@ -494,7 +484,17 @@ def automaton_from_text(text: str) -> TreeAutomaton:
             if combo in trans.setdefault(name, {}):
                 raise ParseError("duplicate transition")
             trans[name][combo] = target
-            named.extend((lineno, q) for q in combo + (target,))
+            named.extend([(lineno, q) for q in combo + (target,)])
+        elif kw == "finals":
+            head[kw] = frozenset(map(int, values))
+            named.extend([(lineno, q) for q in head[kw]])
+        elif kw == "var":
+            j = int(values[0])
+            if var.setdefault(j, (lineno, int(values[1])))[0] != lineno:
+                raise ParseError(f"a second var {j} line")
+            named.append(var[j])
+        else:
+            head[kw] = natural(kw, values[0])
 
     usage = {"rank": "<k>", "states": "<n>", "finals": "<state>...", "var": "<j> <state>",
              "trans": "<letter> <state>... -> <state>"}

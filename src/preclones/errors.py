@@ -21,6 +21,7 @@ def read_lines(text, usage, handle, once=(), label="line"):
     unchecked.  A keyword in ``once`` heads one line only.  A ValueError,
     IndexError or ParseError in a line becomes ParseError "<label> N: ...".
     """
+    shapes = {kw: (len(words.split()), "..." in words) for kw, words in (usage or {}).items()}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         keyword, *values = line.split() or ["#"]
@@ -28,10 +29,10 @@ def read_lines(text, usage, handle, once=(), label="line"):
             continue
         try:
             if usage is not None:
-                if keyword not in usage:
+                if keyword not in shapes:
                     raise ParseError(f"unknown keyword {keyword!r}")
-                n = len(usage[keyword].split())
-                if not (len(values) == n or "..." in usage[keyword] and len(values) >= n - 1):
+                n, variadic = shapes[keyword]
+                if not (len(values) == n or variadic and len(values) >= n - 1):
                     raise ParseError(f"expected '{keyword} {usage[keyword]}'")
             if keyword in seen and keyword in once:
                 raise ParseError(f"a second {keyword} line")

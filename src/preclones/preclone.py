@@ -455,8 +455,7 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True):
         g_reps = [reps[grank][gkey] for gkey, grank in gkeys]
         return proj[S.compose(f_rep, g_reps)][1]
 
-    Q = FinitaryPreclone(S.trunc, compose_raw,
-                         lambda key, rank: "[" + S.describe(reps[rank][key]) + "]")
+    Q = FinitaryPreclone(S.trunc, compose_raw, lambda key, rank: f"[{S.describe(reps[rank][key])}]")
     for n, blocks in enumerate(blocks_by_rank):
         reps.append([block[0] for block in blocks])
         for b, block in enumerate(blocks):

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import shutil
 
@@ -443,28 +444,26 @@ def mutated(text, rng):
     return text
 
 
-# per format: the corpus file mutated, the files copied next to it and the
-# command that reads it ({path} the mutated copy)
+# per format: the file mutated (None for GENERATORS), the corpus files
+# copied next to it and the command that reads it ({path} the mutated copy)
 PROBED = {
-    "automaton": ("k_path0.aut", (), ["syntactic", "{path}"]),
+    "automaton": (corp("k_path0.aut"), (), ["syntactic", "{path}"]),
     "dump": (GOLDEN_DUMP, (), ["axioms", "--dump", "{path}"]),
-    "formula": ("ex10.lind", ("dbool.alph", "k_path0.aut"),
+    "formula": (corp("ex10.lind"), ("dbool.alph", "k_path0.aut"),
                 ["eval", corp("tree_sat.tr"), "{path}"]),
-    "alphabet": ("sigma_ex.alph", (), ["enumerate", "--alphabet", "{path}",
-                                       "--rank", "0", "--max-nv", "3"]),
+    "alphabet": (corp("sigma_ex.alph"), (), ["enumerate", "--alphabet", "{path}",
+                                             "--rank", "0", "--max-nv", "3"]),
     "generators": (None, (), ["blockprod", GOLDEN_DUMP, GOLDEN_DUMP, "--k", "0",
                               "--trunc", "2", "--generators", "{path}"]),
-    "tree": ("tree_sat.tr", (), ["eval", "{path}", corp("ex01.lind")]),
+    "tree": (corp("tree_sat.tr"), (), ["eval", "{path}", corp("ex01.lind")]),
 }
 MUTATIONS = 180
 
 
 @pytest.mark.parametrize("fmt", sorted(PROBED))
 def test_a_mutated_file_gives_a_verdict_or_one_error_line(tmp_path, capsys, fmt):
-    import random
-
-    name, copied, argv = PROBED[fmt]
-    text = GENERATORS if name is None else open(corp(name)).read()
+    source, copied, argv = PROBED[fmt]
+    text = GENERATORS if source is None else open(source).read()
     for other in copied:
         shutil.copy(corp(other), tmp_path / other)
     path = tmp_path / "mutated"
