@@ -142,6 +142,28 @@ def explore(alphabet: RankedAlphabet, seeds, step, grade=None, cap=0):
     return states, tables
 
 
+def refine(items, initial, successors):
+    """The coarsest partition of the list ``items`` refining the keys
+    ``initial(x)`` in which x ~ y forces successors(x)[j] ~ successors(y)[j]
+    for all j (equal keys need aligned successor lists), by Moore's rounds
+    as Abdulla, Högberg and Kaati (2007) run them on tree automata.
+    Returns the classes as lists, in the order of their first items.
+    """
+    index = {x: i for i, x in enumerate(items)}
+    succ = [[index[y] for y in successors(x)] for x in items]
+    keys, count = [initial(x) for x in items], 0
+    while True:
+        ids = {}
+        block = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) == count:
+            classes = [[] for _ in ids]
+            for x, b in zip(items, block):
+                classes[b].append(x)
+            return classes
+        count = len(ids)
+        keys = [(b, *map(block.__getitem__, s)) for b, s in zip(block, succ)]
+
+
 def build(alphabet: RankedAlphabet, k: int, var_states, step, finals,
           grade=None, cap=0):
     """The automaton on the states ``explore`` reaches from ``var_states``.
@@ -225,54 +247,24 @@ def minimize(a: TreeAutomaton, finals_list=None):
     """
     sets = [a.finals] + [frozenset(s) for s in (finals_list or [])]
     reach = sorted(reachable_states(a))
-    idx = {q: i for i, q in enumerate(reach)}
-
-    # initial partition: membership vector across all preserved sets
-    def initial_block(q):
-        return tuple(q in s for s in sets)
-
-    block = {q: initial_block(q) for q in reach}
-    while True:
-        sigs = {}
-        for q in reach:
-            sig = [block[q]]
-            for name, m in a.alphabet.symbols:
-                table = a.transitions[name]
-                for pos in range(m):
-                    for others in itertools.product(reach, repeat=m - 1):
-                        combo = others[:pos] + (q,) + others[pos:]
-                        sig.append(block[table[combo]])
-            sigs[q] = tuple(sig)
-        new_ids = {}
-        new_block = {}
-        for q in reach:
-            s = sigs[q]
-            if s not in new_ids:
-                new_ids[s] = len(new_ids)
-            new_block[q] = new_ids[s]
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
-    n_blocks = len(set(block.values()))
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    transitions = {}
+    # successors: a state's target at each position p of each letter, over
+    # reach^m in runs of w = n^(m-1-p), reach[i]'s every n-th run from i
+    n, rows = len(reach), {q: [] for q in reach}
     for name, m in a.alphabet.symbols:
-        table = a.transitions[name]
-        new_table = {}
-        for combo in itertools.product(range(n_blocks), repeat=m):
-            qs = tuple(rep[c] for c in combo)
-            new_table[combo] = block[table[qs]]
-        transitions[name] = new_table
-    var_state = tuple(block[q] for q in a.var_state)
-    mapped = [frozenset(block[q] for q in s if q in block) for s in sets]
-    out = TreeAutomaton(a.alphabet, a.rank, n_blocks, var_state, transitions, mapped[0])
-    if finals_list is None:
-        return out
-    return out, mapped[1:]
+        targets = list(map(a.transitions[name].__getitem__, itertools.product(reach, repeat=m)))
+        for p in range(m):
+            w = n ** (m - 1 - p)
+            runs = [targets[j:j + w] for j in range(0, len(targets), w)]
+            for i, q in enumerate(reach):
+                rows[q] += itertools.chain.from_iterable(runs[i::n])
+    classes = refine(reach, lambda q: tuple(q in s for s in sets), rows.__getitem__)
+    block = {q: b for b, members in enumerate(classes) for q in members}
+    # every class holds a reachable state, so build reaches and keeps them all
+    out, _ = build(a.alphabet, a.rank, [block[q] for q in a.var_state],
+                   lambda name, bs: block[a.transitions[name][tuple(classes[b][0] for b in bs)]],
+                   lambda b: classes[b][0] in a.finals)
+    mapped = [frozenset(block[q] for q in s if q in block) for s in sets[1:]]
+    return out if finals_list is None else (out, mapped)
 
 
 def automaton_equal(a: TreeAutomaton, b: TreeAutomaton) -> bool:

@@ -126,6 +126,8 @@ class BlockProduct:
             T, first = self.T, holes[0]
             col = []
             width = first.k1 + sum(x[0] for x in first.v) + first.k2
+            if width > self.trunc:
+                raise ValueError(f"hole in sort {width} above the truncation {self.trunc}")
             for (k1, k2), (_, vs) in self._blocks[width].items():
                 rows = []
                 for v in vs:

@@ -2,10 +2,10 @@
 
 An n-ary context in sort k is (u, k1, v, k2): u of rank k1+1+k2, v a
 width-n tuple of total rank k-(k1+k2).  A rank-n element f is plugged in
-as u . (k1 units + f.v + k2 units).  The congruence is computed on a
-finitary recognizer (here: the transformation preclone of the minimized
-automaton), which is sound because every context of the free preclone
-factors through the recognizing morphism.
+as u . (k1 units + f.v + k2 units).  The congruence is computed, by
+``automata.refine`` without enumerating contexts, on a finitary
+recognizer (the transformation preclone of the minimized automaton):
+every context of the free preclone factors through its morphism.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .automata import minimize
+from .automata import minimize, refine
 from .errors import RankOverflow
 from .preclone import (
     DEFAULT_BUDGET,
@@ -50,11 +50,10 @@ def block_contexts(T: FinitaryPreclone, blocks):
 
 def context_blocks(T: FinitaryPreclone, k: int, n: int):
     """(k1, k2, offset, vs) per (k1, k2) block of the n-ary contexts in sort
-    k.  A block lists u-major over u in T.sort(k1+1+k2) and v in vs (the
-    width-n tuples of total rank k-k1-k2), from offset on; a block with no
-    u or no v has no context and is left out.
-
-    Requires the truncation to reach rank k+1 so every u-shape exists.
+    k, for ``enumerate_contexts`` and the block product.  A block lists
+    u-major over u in T.sort(k1+1+k2) and v in vs (the width-n tuples of
+    total rank k-k1-k2), from offset on; a block with no u or no v has no
+    context and is left out.  Needs truncation k+1 for every u-shape.
     """
     if k + 1 > T.trunc:
         raise RankOverflow(f"contexts in sort {k} need truncation >= {k + 1}")
@@ -117,31 +116,32 @@ def _rank(els):
 
 
 def syntactic_congruence(T: FinitaryPreclone, k: int, P, extra_sets=()):
-    """Partition of each sort by L-context signatures.
+    """Partition of each sort by L-context signatures: f ~c g iff insert(f,
+    c) and insert(g, c) lie in the same sets for every context c in sort k.
+    ``P`` is a subset of sort k; ``extra_sets`` adds rank-k sets to saturate.
+    Returns blocks_by_rank for quotient(), blocks ordered by least member.
 
-    ``P`` is a subset of sort k; ``extra_sets`` adds further rank-k sets
-    every class must saturate (used to quotient by the joint syntactic
-    congruence of several languages at once).  Returns blocks_by_rank in
-    the shape quotient() expects.  f.v is composed once per v of a
-    context block and then plugged under every u of the block.
+    ``refine`` starts from rank plus membership at sort k; f's successors
+    are f o_i h and u o_i f within the truncation (o_i as in check_axioms;
+    T must be closed there).  Its partition ~ is ~c.  A context is a chain
+    of such steps, f.v (rank-0 parts of v first: check_axioms' rank
+    argument) then u o_k1, so ~ refines ~c.  A step is insert(., D) for D
+    = (1, 0, 1..h..1, 0) or (u, i, units, m-1-i), and insert(f, c.D) =
+    insert(insert(f, D), c) (``stack_contexts``): ~c is stable, refines
+    membership by c = (1, 0, k units, 0), so it refines ~, the coarsest.
     """
-    sets = [frozenset(P)] + [frozenset(s) for s in extra_sets]
-    member = [tuple(w in s for s in sets) for w in T.sort(k)]
-    blocks_by_rank = []
-    for n in range(T.trunc + 1):
-        ctx_blocks = list(context_blocks(T, k, n))
-        groups = {}
-        for f in T.sort(n):
-            sig = []
-            for k1, k2, _, vs in ctx_blocks:
-                fvs = [T.compose(f, v) for v in vs]
-                for u in T.sort(k1 + 1 + k2):
-                    sig.extend(member[T.plug(u, k1, fv, k2)[1]] for fv in fvs)
-            groups.setdefault(tuple(sig), []).append(f)
-        # deterministic block order: by least member
-        blocks = sorted(groups.values(), key=lambda b: b[0])
-        blocks_by_rank.append(blocks)
-    return blocks_by_rank
+    if k + 1 > T.trunc:
+        raise RankOverflow(f"contexts in sort {k} need truncation >= {k + 1}")
+    fits = [[h for h in T.elements() if h[0] <= T.trunc + 1 - n] for n in range(T.trunc + 1)]
+
+    def successors(f):
+        n = f[0]
+        return ([T.plug(f, i, h, n - 1 - i) for i in range(n) for h in fits[n]]
+                + [T.plug(u, i, f, u[0] - 1 - i) for u in fits[n] for i in range(u[0])])
+
+    classes = refine([*T.elements()], lambda f: (
+        f[0], f[0] == k and tuple(f in s for s in (P, *extra_sets))), successors)
+    return [[b for b in classes if b[0][0] == n] for n in range(T.trunc + 1)]
 
 
 @dataclass

@@ -133,6 +133,10 @@ def test_left_1_over_two_variables_builds_twenty_states():
     aut, valid = compiler._atom_automaton(LeftJ(1, "x"), UNARY_TERNARY, ("x", "y"), 1)
     assert aut.n_states == 20
     assert minimize(aut, [valid])[0].n_states == 13
+    # at rank 2 the ternary letter gives minimize 31 states, n^2 tuples each
+    aut, valid = compiler._atom_automaton(LeftJ(1, "x"), UNARY_TERNARY, ("x", "y"), 2)
+    assert aut.n_states == 31
+    assert minimize(aut, [valid])[0].n_states == 13
 
 
 MUTATIONS = {

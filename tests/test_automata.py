@@ -31,6 +31,7 @@ from preclones.automata import (
     right_quotient,
     union,
 )
+from tree_oracles import reference_minimize
 from preclones.trees import (
     UNIT,
     alphabet,
@@ -205,6 +206,26 @@ def test_minimize_multi_final_sets():
     b1 = TreeAutomaton(m.alphabet, m.rank, m.n_states, m.var_state, m.transitions, f1)
     for t in enumerate_trees(DBOOL, 0, 3):
         assert b1.accepts(t) == (_count_ones(t) % 3 == 1)
+
+
+@pytest.mark.parametrize("sigma", [SIG, alphabet("g/1", "h/1", "a/0"),
+                                   alphabet("g/1", "h/3", "a/0")], ids=["f2", "g1h1", "g1h3"])
+def test_minimize_matches_the_reference_loop(sigma):
+    rng = random.Random(11)
+    for k, n_states, _ in itertools.product((0, 1), (2, 3, 4), range(3)):
+        a = random_automaton(sigma, k, n_states, rng)
+        extra = [frozenset(q for q in range(n_states) if rng.random() < 0.5)]
+        got, want = minimize(a, extra), reference_minimize(a, extra)
+        assert automaton_equal(got[0], want[0]) and got[1] == want[1]
+        assert automaton_equal(minimize(a), reference_minimize(a))
+
+
+def test_minimize_matches_the_reference_loop_on_the_corpus_automata():
+    paths = sorted(glob.glob(os.path.join(REPO, "tests", "corpus", "*.aut")))
+    assert len(paths) == 7
+    for path in paths:
+        a = automata.load_automaton(path)
+        assert automaton_equal(minimize(a), reference_minimize(a))
 
 
 def test_left_quotient_examples():

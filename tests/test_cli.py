@@ -341,11 +341,11 @@ def test_eval_rejects_a_malformed_formula_header(tmp_path, capsys, case):
 GENERATORS = "# f F...\n0.1 0.0 0.1\n0.0 0.1 0.1\n"
 
 
-def blockprod_with_generators(tmp_path, capsys, text):
+def blockprod_with_generators(tmp_path, capsys, text, trunc="2"):
     path = tmp_path / "gens.txt"
     path.write_text(text)
     return run(capsys, "blockprod", GOLDEN_DUMP, GOLDEN_DUMP, "--k", "0",
-               "--trunc", "2", "--generators", str(path))
+               "--trunc", trunc, "--generators", str(path))
 
 
 @pytest.mark.parametrize("old,new,message", [
@@ -359,6 +359,12 @@ def test_blockprod_rejects_a_generator_token_outside_the_dump(tmp_path, capsys, 
     code, out, err = blockprod_with_generators(tmp_path, capsys, GENERATORS.replace(old, new))
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_blockprod_rejects_a_generator_above_the_truncation(tmp_path, capsys):
+    code, out, err = blockprod_with_generators(tmp_path, capsys, "2.0 2.0 2.0\n", trunc="1")
+    assert code == 2 and out == ""
+    assert err == "error: line 1: generator of rank 2 above the truncation 1\n"
 
 
 # edits of the t_exists(2) dump that repeat a once-only line or add a token

@@ -650,3 +650,10 @@ def test_column_raises_rank_overflow_for_a_derived_context_past_the_bound():
     wide = Context(T.unit, 0, (a, a, a), 0)  # sort 0, width 3 > trunc
     with pytest.raises(RankOverflow, match="derived context missing at rank 3"):
         bp.column(wide)
+
+
+def test_column_rejects_a_hole_above_the_truncation():
+    T = t_exists(3).preclone
+    bp = BlockProduct(T, T, 0, trunc=2)
+    with pytest.raises(ValueError, match="hole in sort 3 above the truncation 2"):
+        bp.column(Context(T.unit, 0, (T.unit,) * 3, 0))

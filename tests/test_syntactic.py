@@ -1,12 +1,16 @@
+import functools
+import glob
 import inspect
 import itertools
 import os
+import random
 import textwrap
 
 import pytest
 
-from preclones import compiler, syntactic
+from preclones import automata, compiler, syntactic
 from preclones.automata import (
+    automaton_equal,
     boolean_alphabet,
     complement,
     intersect,
@@ -14,6 +18,7 @@ from preclones.automata import (
     k_mod,
     left_quotient,
     load_automaton,
+    random_automaton,
     right_quotient,
 )
 from preclones.cli import load_formula_file
@@ -37,6 +42,7 @@ from preclones.syntactic import (
     syntactic_pgpair,
 )
 from preclones.trees import alphabet, compositions, enumerate_trees, oplus
+from tree_oracles import reference_minimize
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 DBOOL = boolean_alphabet([0, 2])
@@ -215,11 +221,11 @@ def reference_congruence(T, k, P, extra_sets=()):
     return blocks_by_rank
 
 
-def checking_congruence(module, monkeypatch):
-    """Patch module's syntactic_congruence to compare each call with the
-    reference; returns the list of checked calls."""
+def checking_congruence(monkeypatch, *modules):
+    """Patch each module's syntactic_congruence to compare every call with
+    the reference; returns the list of checked calls."""
     checked = []
-    original = module.syntactic_congruence
+    original = syntactic.syntactic_congruence
 
     def checking(T, k, P, extra_sets=()):
         got = original(T, k, P, extra_sets)
@@ -227,7 +233,27 @@ def checking_congruence(module, monkeypatch):
         checked.append((k, len(extra_sets)))
         return got
 
-    monkeypatch.setattr(module, "syntactic_congruence", checking)
+    for module in modules:
+        monkeypatch.setattr(module, "syntactic_congruence", checking)
+    return checked
+
+
+def checking_minimize(monkeypatch, *modules):
+    """Patch each module's minimize to compare every call with the former
+    loop; returns the list of checked calls."""
+    checked = []
+
+    def checking(a, finals_list=None):
+        got = automata.minimize(a, finals_list)
+        want = reference_minimize(a, finals_list)
+        if finals_list is None:
+            got, want = (got, []), (want, [])
+        assert automaton_equal(got[0], want[0]) and got[1] == want[1]
+        checked.append(a.n_states)
+        return got[0] if finals_list is None else got
+
+    for module in modules:
+        monkeypatch.setattr(module, "minimize", checking)
     return checked
 
 
@@ -259,50 +285,99 @@ def test_enumerate_contexts_matches_its_own_walk(make):
             assert enumerate_contexts(S, k, n) == reference_contexts(S, k, n)
 
 
-@pytest.mark.parametrize("name", ["k_exists0", "k_mod_2_0", "k_mod_2_1", "k_mod_3_1"])
+AUTOMATA = sorted(os.path.basename(p)[:-4] for p in glob.glob(os.path.join(CORPUS, "*.aut")))
+FORMULAS = sorted(os.path.basename(p)[:-5] for p in glob.glob(os.path.join(CORPUS, "ex*.lind")))
+
+
+@pytest.mark.parametrize("name", AUTOMATA)
 def test_congruence_matches_the_context_walk_on_syntactic_pgpairs(monkeypatch, name):
-    checked = checking_congruence(syntactic, monkeypatch)
-    syntactic_pgpair(load_automaton(os.path.join(CORPUS, name + ".aut")), 3)
-    assert checked == [(0, 0)]
+    checked = checking_congruence(monkeypatch, syntactic)
+    minimized = checking_minimize(monkeypatch, syntactic)
+    a = load_automaton(os.path.join(CORPUS, name + ".aut"))
+    syntactic_pgpair(a, max(3, a.rank + 1))
+    assert checked == [(a.rank, 0)] and len(minimized) == 1
 
 
-@pytest.mark.parametrize("name", ["ex04", "ex19", "ex27"])
+@pytest.mark.parametrize("name", FORMULAS)
 def test_congruence_matches_the_context_walk_on_compiles(monkeypatch, name):
-    checked = checking_congruence(compiler, monkeypatch)
+    """Every congruence and every minimization a compile makes, against
+    the context walk and the former minimize loop."""
+    checked = checking_congruence(monkeypatch, compiler, syntactic)
+    minimized = checking_minimize(monkeypatch, compiler, syntactic)
     phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
     compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
-    assert checked and all(extra for _, extra in checked)
+    assert minimized
+    assert bool(checked) == (name not in ("ex17", "ex18"))  # true and false quantify nothing
 
 
-# a block walk that skips contexts: every u but the first, every v but the first
-BLOCK_WALK_MUTATIONS = {
-    "first-u-only": ("syntactic_congruence", "for u in T.sort(k1 + 1 + k2):",
-                     "for u in T.sort(k1 + 1 + k2)[:1]:"),
-    "first-v-only": ("context_blocks", "yield k1, k2, offset, vs", "yield k1, k2, offset, vs[:1]"),
+def probe_automata():
+    """The corpus automata, then 36 seeded 2-state automata: six seeds over
+    each alphabet at ranks 0 and 1."""
+    cases = [(name, load_automaton(os.path.join(CORPUS, name + ".aut"))) for name in AUTOMATA]
+    for letters in (("f/2", "a/0", "b/0"), ("g/1", "h/1", "a/0"), ("g/1", "h/3", "a/0")):
+        for k, seed in itertools.product((0, 1), range(6)):
+            a = random_automaton(alphabet(*letters), k, 2, random.Random(seed))
+            cases.append(("".join(x[0] + x[2] for x in letters) + f"-k{k}-s{seed}", a))
+    return cases
+
+
+PROBES = probe_automata()
+
+
+@pytest.mark.parametrize("a", [a for _, a in PROBES], ids=[name for name, _ in PROBES])
+def test_congruence_matches_the_context_walk_on_the_probe_automata(a):
+    res = transformation_pgpair(a, max(a.rank + 1, a.alphabet.max_arity))
+    S, P = res.pgpair.preclone, accepting_elements(res)
+    assert syntactic_congruence(S, a.rank, P) == reference_congruence(S, a.rank, P)
+
+
+@functools.cache
+def recorded_congruence_calls():
+    """The congruence calls of the ex04, ex19 and ex27 compiles, per formula."""
+    calls = {}
+    original = compiler.syntactic_congruence
+    for name in ("ex04", "ex19", "ex27"):
+        def recording(T, k, P, extra_sets=(), name=name):
+            calls.setdefault(name, []).append((T, k, P, extra_sets))
+            return original(T, k, P, extra_sets)
+
+        compiler.syntactic_congruence = recording
+        try:
+            phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
+            compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+        finally:
+            compiler.syntactic_congruence = original
+    return calls
+
+
+# mutants of the refinement: (module, function, line, its replacement)
+REFINE_MUTATIONS = {
+    # successors without f o_i h
+    "no-f-o-h": (syntactic, "syntactic_congruence",
+                 "return ([T.plug(f, i, h, n - 1 - i) for i in range(n) for h in fits[n]]",
+                 "return ([]"),
+    # successors without u o_i f
+    "no-u-o-f": (syntactic, "syntactic_congruence",
+                 "+ [T.plug(u, i, f, u[0] - 1 - i) for u in fits[n] for i in range(u[0])])",
+                 "+ [])"),
+    # refine stops after one round
+    "one-round": (automata, "refine", "if len(ids) == count:", "if count:"),
 }
 
 
 def mutate(monkeypatch, mutation):
-    name, old, new = BLOCK_WALK_MUTATIONS[mutation]
-    source = textwrap.dedent(inspect.getsource(getattr(syntactic, name)))
+    module, name, old, new = REFINE_MUTATIONS[mutation]
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
-    namespace = dict(vars(syntactic))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(syntactic, name, namespace[name])
 
 
-@pytest.mark.parametrize("mutation", sorted(BLOCK_WALK_MUTATIONS))
-def test_a_block_walk_that_skips_contexts_is_caught(monkeypatch, mutation):
-    calls = []
-    original = compiler.syntactic_congruence
-
-    def recording(T, k, P, extra_sets=()):
-        calls.append((T, k, P, extra_sets))
-        return original(T, k, P, extra_sets)
-
-    monkeypatch.setattr(compiler, "syntactic_congruence", recording)
-    phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, "ex04.lind"))
-    compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
+@pytest.mark.parametrize("mutation", sorted(REFINE_MUTATIONS))
+def test_a_refinement_that_misses_a_step_is_caught(monkeypatch, mutation):
+    calls = recorded_congruence_calls()
     mutate(monkeypatch, mutation)
-    assert calls
-    assert all(syntactic.syntactic_congruence(*c) != reference_congruence(*c) for c in calls)
+    for name in ("ex04", "ex19", "ex27"):
+        assert any(syntactic.syntactic_congruence(*c) != reference_congruence(*c)
+                   for c in calls[name]), name

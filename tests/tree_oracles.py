@@ -1,7 +1,11 @@
 """Tree helpers that only the tests read: NV-node addressing, the
-factorisation t = r . (k1 units + s + k2 units) at a node, and small
-builders and counters used as oracles."""
+factorisation t = r . (k1 units + s + k2 units) at a node, small
+builders and counters used as oracles, and the former hand-written
+``minimize`` loop as the oracle of ``automata.refine``."""
 
+import itertools
+
+from preclones.automata import TreeAutomaton, reachable_states
 from preclones.trees import (
     RankedTree,
     compose,
@@ -79,3 +83,42 @@ def recompose(r, k1, s, k2):
 
 def count_nv(t: RankedTree) -> int:
     return fold(t, lambda _: 0, lambda _, counts: 1 + sum(counts))
+
+
+def reference_minimize(a: TreeAutomaton, finals_list=None):
+    """``automata.minimize`` as one loop: every round recomputes each
+    reachable state's full signature, its block and the blocks of its
+    targets at each position of each letter over every tuple of the
+    other states."""
+    sets = [a.finals] + [frozenset(s) for s in (finals_list or [])]
+    reach = sorted(reachable_states(a))
+    block = {q: tuple(q in s for s in sets) for q in reach}
+    while True:
+        sigs = {}
+        for q in reach:
+            sig = [block[q]]
+            for name, m in a.alphabet.symbols:
+                table = a.transitions[name]
+                for pos in range(m):
+                    for others in itertools.product(reach, repeat=m - 1):
+                        sig.append(block[table[others[:pos] + (q,) + others[pos:]]])
+            sigs[q] = tuple(sig)
+        new_ids = {}
+        new_block = {q: new_ids.setdefault(sigs[q], len(new_ids)) for q in reach}
+        done = len(new_ids) == len(set(block.values()))
+        block = new_block
+        if done:
+            break
+    n_blocks = len(set(block.values()))
+    rep = {}
+    for q in reach:
+        rep.setdefault(block[q], q)
+    transitions = {
+        name: {combo: block[a.transitions[name][tuple(rep[c] for c in combo)]]
+               for combo in itertools.product(range(n_blocks), repeat=m)}
+        for name, m in a.alphabet.symbols
+    }
+    mapped = [frozenset(block[q] for q in s if q in block) for s in sets]
+    out = TreeAutomaton(a.alphabet, a.rank, n_blocks, tuple(block[q] for q in a.var_state),
+                        transitions, mapped[0])
+    return out if finals_list is None else (out, mapped[1:])
