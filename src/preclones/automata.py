@@ -254,7 +254,7 @@ def minimize(a: TreeAutomaton, finals_list=None):
         targets = list(map(a.transitions[name].__getitem__, itertools.product(reach, repeat=m)))
         for p in range(m):
             w = n ** (m - 1 - p)
-            runs = [targets[j:j + w] for j in range(0, len(targets), w)]
+            runs = [targets[j * w:j * w + w] for j in range(n ** (p + 1))]
             for i, q in enumerate(reach):
                 rows[q] += itertools.chain.from_iterable(runs[i::n])
     classes = refine(reach, lambda q: tuple(q in s for s in sets), rows.__getitem__)

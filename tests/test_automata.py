@@ -220,6 +220,13 @@ def test_minimize_matches_the_reference_loop(sigma):
         assert automaton_equal(minimize(a), reference_minimize(a))
 
 
+def test_minimize_without_a_reachable_state():
+    # rank 0 over f/2 alone: there is no tree, so no state is reachable
+    a = TreeAutomaton(alphabet("f/2"), 0, 1, (), {"f": {(0, 0): 0}}, frozenset({0}))
+    assert minimize(a).n_states == 0
+    assert automaton_equal(minimize(a), reference_minimize(a))
+
+
 def test_minimize_matches_the_reference_loop_on_the_corpus_automata():
     paths = sorted(glob.glob(os.path.join(REPO, "tests", "corpus", "*.aut")))
     assert len(paths) == 7
