@@ -247,17 +247,13 @@ def minimize(a: TreeAutomaton, finals_list=None):
     """
     sets = [a.finals] + [frozenset(s) for s in (finals_list or [])]
     reach = sorted(reachable_states(a))
-    # successors: a state's targets at each position p of each letter, over
-    # reach^m in runs of w = n^(m-1-p), reach[i]'s every n-th run (w = 1: slice)
-    n, rows = len(reach), {q: [] for q in reach}
-    for name, m in a.alphabet.symbols:
-        targets = list(map(a.transitions[name].__getitem__, itertools.product(reach, repeat=m)))
-        for p in range(m):
-            w = n ** (m - 1 - p)
-            runs = [targets[j * w:j * w + w] for j in range(n ** (p + 1))] if w > 1 else None
-            for i, q in enumerate(reach):
-                rows[q] += itertools.chain.from_iterable(runs[i::n]) if runs else targets[i::n]
-    classes = refine(reach, lambda q: tuple(q in s for s in sets), rows.__getitem__)
+
+    def successors(q):  # q's targets at each position p of each letter
+        return [t for name, m in a.alphabet.symbols for p in range(m)
+                for t in map(a.transitions[name].__getitem__,
+                             itertools.product(*[(q,) if i == p else reach for i in range(m)]))]
+
+    classes = refine(reach, lambda q: tuple(q in s for s in sets), successors)
     block = {q: b for b, members in enumerate(classes) for q in members}
     # every class holds a reachable state, so build reaches and keeps them all
     out, _ = build(a.alphabet, a.rank, [block[q] for q in a.var_state],

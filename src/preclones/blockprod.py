@@ -83,6 +83,8 @@ class BlockProduct:
     def make(self, fvalues, f):
         """Build (F, f) from a context->S-element function or sequence."""
         n = f[0]
+        if n > self.trunc:
+            raise ValueError(f"generator of rank {n} above the truncation {self.trunc}")
         if callable(fvalues):
             F = tuple(fvalues(c) for c in self.contexts[n])
         else:

@@ -136,13 +136,8 @@ def cmd_blockprod(args):
     if args.generators:
         bp = BlockProduct(S, T, args.k, trunc=args.trunc)
         gen_keys = []  # per line: f in T, then F's values in S
-
-        def line(lineno, f, F):
-            f = element(T, parse_el(f))
-            if f[0] > bp.trunc:
-                raise ParseError(f"generator of rank {f[0]} above the truncation {bp.trunc}")
-            gen_keys.append(bp.make([element(S, parse_el(x)) for x in F], f))
-        read_lines(_read(args.generators), None, line)
+        read_lines(_read(args.generators), None, lambda lineno, f, F: gen_keys.append(
+            bp.make([element(S, parse_el(x)) for x in F], element(T, parse_el(f)))))
         pg = bp.carrier_pgpair(gen_keys, budget=args.budget)
     else:
         _, pg = block_product_pg(

@@ -95,6 +95,12 @@ def test_rank_overflow_guard():
         bp.compose(f, [g, u])
 
 
+def test_make_rejects_an_element_above_the_truncation():
+    pg, bp = texists_bp(0, trunc=2)
+    with pytest.raises(ValueError, match="generator of rank 3 above the truncation 2"):
+        bp.make(lambda c: (3, 0), pg.preclone.sort(3)[0])
+
+
 def test_generator_count_formula():
     # pg-pair with full sorts as generators so rank-1 generators exist
     pg = t_exists(3)

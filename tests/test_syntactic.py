@@ -223,18 +223,21 @@ def reference_congruence(T, k, P, extra_sets=()):
 
 def checking_congruence(monkeypatch, *modules):
     """Patch each module's syntactic_congruence to compare every call with
-    the reference; returns the list of checked calls."""
+    the reference; returns the checked calls as (calling module, k, number
+    of extra sets)."""
     checked = []
     original = syntactic.syntactic_congruence
 
-    def checking(T, k, P, extra_sets=()):
-        got = original(T, k, P, extra_sets)
-        assert got == reference_congruence(T, k, P, extra_sets)
-        checked.append((k, len(extra_sets)))
-        return got
+    def checking(caller):
+        def check(T, k, P, extra_sets=()):
+            got = original(T, k, P, extra_sets)
+            assert got == reference_congruence(T, k, P, extra_sets)
+            checked.append((caller, k, len(extra_sets)))
+            return got
+        return check
 
     for module in modules:
-        monkeypatch.setattr(module, "syntactic_congruence", checking)
+        monkeypatch.setattr(module, "syntactic_congruence", checking(module.__name__))
     return checked
 
 
@@ -293,7 +296,7 @@ def test_congruence_matches_the_context_walk_on_syntactic_pgpairs(monkeypatch, n
     minimized = checking_minimize(monkeypatch, syntactic)
     a = load_automaton(os.path.join(CORPUS, name + ".aut"))
     syntactic_pgpair(a, max(3, a.rank + 1))
-    assert checked == [(a.rank, 0)] and len(minimized) == 1
+    assert checked == [("preclones.syntactic", a.rank, 0)] and len(minimized) == 1
 
 
 @pytest.mark.parametrize("name", FORMULAS)
@@ -306,6 +309,9 @@ def test_congruence_matches_the_context_walk_on_compiles(monkeypatch, name):
     compiler.compile_formula(phi, sigma, tuple(sorted(free_vars(phi))), k)
     assert minimized
     assert bool(checked) == (name not in ("ex17", "ex18"))  # true and false quantify nothing
+    # the compiler's joint congruence passes the other members' sets, valid_Wx and valid_Y
+    joint = [extra for caller, _, extra in checked if caller == "preclones.compiler"]
+    assert bool(joint) == bool(checked) and all(joint)
 
 
 def probe_automata():
