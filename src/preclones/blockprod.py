@@ -207,14 +207,8 @@ class BlockProduct:
         ``eval_cap`` restricts the closure to compositions with result rank
         at most the cap (enough for evaluating trees of that rank).
         """
-
-        def compose_raw(fkey, frank, gkeys):
-            return self.compose(fkey, [g for g, _ in gkeys])
-
-        def describe(key, rank):
-            return f"(F,{self.T.describe(key[1])})"
-
-        pre = FinitaryPreclone(self.trunc, compose_raw, describe)
+        pre = FinitaryPreclone(self.trunc, self.compose,
+                               lambda key, rank: f"(F,{self.T.describe(key[1])})")
         pre.set_unit(pre.intern(1, self.unit_key()))
         letters = ((key, self.rank_of(key), key) for key in generators)
         return generated(pre, letters, eval_cap, budget)[0]
@@ -254,14 +248,13 @@ def block_product_pg(pgS: PgPair, pgT: PgPair, k: int, trunc=None,
         b_n = pgT.generators_of_rank(n)
         if not b_n:
             continue
-        n_ctx = bp.n_contexts(n)
-        count = len(a_n) ** n_ctx * len(b_n)
+        count = generator_count(pgS, pgT, bp, n)
         if count > budget:
             raise BudgetExceeded(
                 f"{count} generators at rank {n} exceed budget {budget}"
             )
         for b in b_n:
-            for F in itertools.product(a_n, repeat=n_ctx):
+            for F in itertools.product(a_n, repeat=bp.n_contexts(n)):
                 gen_keys.append((F, b))
     return bp, bp.carrier_pgpair(gen_keys, budget)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automata import (
     TreeAutomaton,
@@ -68,8 +68,7 @@ from .preclone import (
     PgPair,
     accepting_elements,
     direct_product,
-    sub_pgpair_generated,
-    target_tupling,
+    generated,
     transformation_pgpair,
 )
 from .syntactic import (
@@ -295,45 +294,30 @@ def _combine(self, phi, variables) -> CompiledRecognizer:
     aut = self.automaton(phi, variables)
     if r1.pgpair is r2.pgpair:
         acc = r1.accepting | r2.accepting if is_or else r1.accepting & r2.accepting
-        return CompiledRecognizer(
-            r1.pgpair, r1.gamma, frozenset(acc), r1.valid, r1.rank,
-            r1.variables, r1.sigma, r1.ext_alphabet, aut,
-        )
-    prod = direct_product([r1.pgpair.preclone, r2.pgpair.preclone])
-    tupled = target_tupling([r1.gamma, r2.gamma], prod)
-    sub = sub_pgpair_generated(prod, list(tupled.image.values()), budget=self.budget,
-                               eval_cap=r1.rank)
+        return replace(r1, accepting=frozenset(acc), automaton=aut)
+    # the sub-pg-pair that the tupled morphism generates in the product
+    k, g1, g2 = r1.rank, r1.gamma, r2.gamma
+    letters = ((name, m, (g1(name), g2(name))) for name, m in r1.ext_alphabet.symbols)
+    sub, image = generated(direct_product([r1.pgpair.preclone, r2.pgpair.preclone]),
+                           letters, k, self.budget)
     carrier = sub.preclone
-    image = {name: carrier.lookup(el[0], el) for name, el in tupled.image.items()}
-    gamma = Morphism(r1.ext_alphabet, carrier, image)
-    k = r1.rank
-    valid = frozenset(
-        el
-        for el in carrier.sort(k)
-        if prod.key(carrier.key(el))[0] in r1.valid
-        and prod.key(carrier.key(el))[1] in r2.valid
-    )
-    test = (lambda a, b: a or b) if is_or else (lambda a, b: a and b)
+    pairs = {el: carrier.key(el) for el in carrier.sort(k)}
+    valid = frozenset(el for el, (x1, x2) in pairs.items()
+                      if x1 in r1.valid and x2 in r2.valid)
+    test = any if is_or else all
     accepting = frozenset(
-        el
-        for el in valid
-        if test(
-            prod.key(carrier.key(el))[0] in r1.accepting,
-            prod.key(carrier.key(el))[1] in r2.accepting,
-        )
+        el for el in valid if test(x in r.accepting for x, r in zip(pairs[el], (r1, r2)))
     )
     return CompiledRecognizer(
-        sub, gamma, accepting, valid, k, r1.variables, r1.sigma,
-        r1.ext_alphabet, aut,
+        sub, Morphism(r1.ext_alphabet, carrier, image), accepting, valid, k,
+        r1.variables, r1.sigma, r1.ext_alphabet, aut,
     )
 
 
 def _negate(self, phi, variables) -> CompiledRecognizer:
     rec = self.compile(phi.sub, variables)
-    return CompiledRecognizer(
-        rec.pgpair, rec.gamma, frozenset(rec.valid - rec.accepting), rec.valid,
-        rec.rank, rec.variables, rec.sigma, rec.ext_alphabet, self.automaton(phi, variables),
-    )
+    return replace(rec, accepting=frozenset(rec.valid - rec.accepting),
+                   automaton=self.automaton(phi, variables))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ rejects compositions whose result rank would exceed it.  Concrete
 families (transformations of an automaton's state set, direct products,
 quotients, generated sub-preclones, loaded dumps) share one
 interned-table representation and differ only in their raw composition
-rule on keys.
+rule, a function of keys alone: a preclone built over another algebra
+composes through that algebra's own ``compose``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ DEFAULT_BUDGET = 100_000
 class FinitaryPreclone:
     """A truncated preclone over interned element keys.
 
-    ``compose_raw(fkey, frank, [(gkey, grank), ...]) -> key`` supplies the
-    semantics; results are looked up in the interned tables, so the sorts
-    must be composition-closed within the truncation.
+    ``compose_raw(fkey, [gkey, ...]) -> key`` supplies the semantics on
+    keys alone, since the preclone knows every rank; results are looked up
+    in the interned tables, so the sorts must be composition-closed within
+    the truncation.
     """
 
     def __init__(self, trunc, compose_raw, describe=None):
@@ -107,9 +109,7 @@ class FinitaryPreclone:
         m = sum(g[0] for g in gs)
         if m > self.trunc:
             raise RankOverflow(f"composition result rank {m} above truncation {self.trunc}")
-        key = self._compose_raw(
-            self.key(f), f[0], [(self.key(g), g[0]) for g in gs]
-        )
+        key = self._compose_raw(self.key(f), [self.key(g) for g in gs])
         el = self.lookup(m, key)
         if el is None:
             raise ValueError(
@@ -168,7 +168,7 @@ def close_for_evaluation(pre: FinitaryPreclone, cap, budget=DEFAULT_BUDGET):
     letters = RankedAlphabet(tuple((el, el[0]) for el in pre.elements()))
 
     def step(f, gs):
-        key = pre._compose_raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
+        key = pre._compose_raw(pre.key(f), [pre.key(g) for g in gs])
         el = pre._memo[(f, gs)] = pre.intern(sum(g[0] for g in gs), key)
         if pre.size() > budget:
             raise BudgetExceeded(f"closure exceeded {budget} elements")
@@ -247,12 +247,12 @@ class Morphism:
 # transformation preclones
 
 
-def _transformation_compose(fkey, frank, gkeys):
+def _transformation_compose(fkey, gkeys):
     """f . (g_1 + ... + g_n) on tables in lexicographic argument order:
     each g appends one base-n_states digit to every f-index."""
     n_states, ftable = fkey
     acc = [0]
-    for (_, gtable), _ in gkeys:
+    for _, gtable in gkeys:
         acc = [a * n_states + v for a in acc for v in gtable]
     return (n_states, tuple(map(ftable.__getitem__, acc)))
 
@@ -375,49 +375,31 @@ def t_mod(p, trunc) -> PgPair:
 
 
 # ---------------------------------------------------------------------------
-# products, tupling, generated sub-pg-pairs, quotients
+# products, generated sub-pg-pairs, quotients
 
 
 def direct_product(factors) -> FinitaryPreclone:
-    """Componentwise product; sorts are cartesian products of the factors'."""
+    """Componentwise product of preclones, holding only its unit.
+
+    A key is the tuple of the factors' elements, and a composition is
+    each factor's own.  ``generated`` grows the product from paired
+    images, so it interns only the tuples their closure reaches.
+    """
     factors = list(factors)
     truncs = {S.trunc for S in factors}
     if len(truncs) != 1:
         raise ValueError("factors must share one truncation")
-    trunc = truncs.pop()
 
-    def compose_raw(fkey, frank, gkeys):
-        out = []
-        for i, S in enumerate(factors):
-            f_el = fkey[i]
-            g_els = [gkey[i] for gkey, _ in gkeys]
-            out.append(S.compose(f_el, g_els))
-        return tuple(out)
+    def compose_raw(fkey, gkeys):
+        return tuple(S.compose(f, [g[i] for g in gkeys])
+                     for i, (S, f) in enumerate(zip(factors, fkey)))
 
     def describe(key, rank):
-        return "(" + ",".join(factors[i].describe(key[i]) for i in range(len(factors))) + ")"
+        return "(" + ",".join(S.describe(el) for S, el in zip(factors, key)) + ")"
 
-    pre = FinitaryPreclone(trunc, compose_raw, describe)
-    for n in range(trunc + 1):
-        for combo in itertools.product(*(S.sort(n) for S in factors)):
-            pre.intern(n, tuple(combo))
-    pre.set_unit(pre.lookup(1, tuple(S.unit for S in factors)))
+    pre = FinitaryPreclone(truncs.pop(), compose_raw, describe)
+    pre.set_unit(pre.intern(1, tuple(S.unit for S in factors)))
     return pre
-
-
-def target_tupling(morphisms, prod: FinitaryPreclone) -> Morphism:
-    """Tuple morphisms with a common source into their direct product."""
-    alph = morphisms[0].alphabet
-    if any(m.alphabet != alph for m in morphisms):
-        raise ValueError("tupled morphisms must share the source alphabet")
-    image = {}
-    for name, _ in alph.symbols:
-        key = tuple(m.image[name] for m in morphisms)
-        el = prod.lookup(alph.arity[name], key)
-        if el is None:
-            raise ValueError("tupled image missing from the product carrier")
-        image[name] = el
-    return Morphism(alph, prod, image)
 
 
 def sub_pgpair_generated(S: FinitaryPreclone, gens, budget=DEFAULT_BUDGET,
@@ -428,14 +410,7 @@ def sub_pgpair_generated(S: FinitaryPreclone, gens, budget=DEFAULT_BUDGET,
     ``eval_cap`` restricts the closure to evaluation compositions, as in
     transformation_pgpair.
     """
-
-    def compose_raw(fkey, frank, gkeys):
-        return S.compose(fkey, [g for g, _ in gkeys])
-
-    def describe(key, rank):
-        return S.describe(key)
-
-    pre = FinitaryPreclone(S.trunc, compose_raw, describe)
+    pre = FinitaryPreclone(S.trunc, S.compose, lambda key, rank: S.describe(key))
     pre.set_unit(pre.intern(1, S.unit))
     return generated(pre, ((g, g[0], g) for g in gens), eval_cap, budget)[0]
 
@@ -448,22 +423,19 @@ def quotient(S: FinitaryPreclone, blocks_by_rank, verify=True):
     that the block of f.(gs) depends only on the blocks involved, raising
     NotACongruence with a witness otherwise.
     """
-    proj, reps = {}, []  # reps[n][b]: the first element of block b of sort n
+    proj, first = {}, {}  # S-element -> its Q-element, and its block's first element
 
-    def compose_raw(fkey, frank, gkeys):
-        f_rep = reps[frank][fkey]
-        g_reps = [reps[grank][gkey] for gkey, grank in gkeys]
-        return proj[S.compose(f_rep, g_reps)][1]
+    def compose_raw(fkey, gkeys):
+        return first[S.compose(fkey, gkeys)]
 
-    Q = FinitaryPreclone(S.trunc, compose_raw, lambda key, rank: f"[{S.describe(reps[rank][key])}]")
+    Q = FinitaryPreclone(S.trunc, compose_raw, lambda key, rank: f"[{S.describe(key)}]")
     for n, blocks in enumerate(blocks_by_rank):
-        reps.append([block[0] for block in blocks])
-        for b, block in enumerate(blocks):
-            cls = Q.intern(n, b)
+        for block in blocks:
+            cls = Q.intern(n, block[0])
             for el in block:
                 if el[0] != n or el in proj:
                     raise ValueError("partition blocks overlap or mix ranks")
-                proj[el] = cls
+                proj[el], first[el] = cls, block[0]
         if sum(map(len, blocks)) != S.sort_size(n):
             raise ValueError(f"partition does not cover sort {n}")
 
@@ -760,10 +732,11 @@ def load_preclone(text: str):
     if unit[0] != 1:
         raise ParseError(f"unit {el_token(unit)} is not of rank 1")
 
-    def compose_raw(fkey, frank, gkeys):
-        entry = table.get((fkey, tuple(g for g, _ in gkeys)))
+    def compose_raw(fkey, gkeys):
+        entry = table.get((fkey, tuple(gkeys)))
         if entry is None:
-            raise ParseError(f"dump has no composition for {fkey} {gkeys}")
+            args = " ".join(map(el_token, gkeys))
+            raise ParseError(f"dump has no composition for {el_token(fkey)} ({args})")
         return entry
 
     S = FinitaryPreclone(trunc, compose_raw, lambda key, rank: descs.get(key, str(key)))

@@ -278,6 +278,14 @@ def test_axioms_rejects_a_unit_outside_its_sort(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and "1.7" in err
 
 
+def test_axioms_names_a_missing_composition_in_comp_line_tokens(capsys):
+    # a compile carrier lists only the compositions of result rank <= k
+    dump = os.path.join(os.path.dirname(__file__), "golden", "compile", "ex21", "carrier.pre")
+    code, out, err = run(capsys, "axioms", "--dump", dump)
+    assert code == 2 and out == ""
+    assert err == "error: dump has no composition for 1.0 (2.0)\n"
+
+
 def test_blockprod_rejects_a_generator_outside_its_sort(tmp_path, capsys):
     dump = edited_dump(tmp_path, None, "gen 0.9\n")
     code, _, err = run(capsys, "blockprod", dump, dump, "--k", "0", "--trunc", "2")

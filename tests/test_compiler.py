@@ -154,13 +154,17 @@ def test_compile_false_empty_accepting():
 def test_boolean_pointwise_semantics():
     a = parse_formula("exists x. P[1_0](x)", DBOOL, 0)
     b = parse_formula("exists x. P[1_2](x) & root(x)", DBOOL, 0)
-    ra = compile_formula(a, DBOOL, (), 0)
-    rb = compile_formula(b, DBOOL, (), 0)
-    rboth = compile_formula(Or(a, b), DBOOL, (), 0)
-    rneg = compile_formula(Not(a), DBOOL, (), 0)
+    comp = Compiler(DBOOL, 0)
+    ra, rb = comp.compile(a, ()), comp.compile(b, ())
+    rboth = comp.compile(Or(a, b), ())
+    rneg = comp.compile(Not(a), ())
+    # the Boolean carrier is generated in the product: each gamma-value is
+    # keyed by the pair of the factors' gamma-values
+    carrier = rboth.pgpair.preclone
     for t in enumerate_trees(DBOOL, 0, 3):
         assert membership(rboth, t) == (membership(ra, t) or membership(rb, t))
         assert membership(rneg, t) == (not membership(ra, t))
+        assert carrier.key(rboth.gamma.eval(t)) == (ra.gamma.eval(t), rb.gamma.eval(t))
 
 
 # -- quantifiers -----------------------------------------------------------------
@@ -183,15 +187,17 @@ def test_qk_over_k_path():
 def test_second_projection_of_gamma_agrees_with_tau():
     # the second components of gamma are exactly the simultaneous morphism,
     # on generators and (homomorphically) on all trees
+    # on a quantifier and on its negation, which shares the carrier
     phi = parse_formula("exists x. P[1_0](x)", DBOOL, 0)
-    rec = compile_formula(phi, DBOOL, (), 0)
-    carrier = rec.pgpair.preclone
-    assert rec.tau is not None
-    for name, el in rec.gamma.image.items():
-        assert carrier.key(el)[1] == rec.tau.image[name]
-    assert carrier.key(carrier.unit)[1] == rec.tau.target.unit
-    for t in enumerate_trees(DBOOL, 0, 3):
-        assert carrier.key(rec.gamma.eval(t))[1] == rec.tau.eval(t)
+    for psi in (phi, Not(phi)):
+        rec = compile_formula(psi, DBOOL, (), 0)
+        carrier = rec.pgpair.preclone
+        assert rec.tau is not None
+        for name, el in rec.gamma.image.items():
+            assert carrier.key(el)[1] == rec.tau.image[name]
+        assert carrier.key(carrier.unit)[1] == rec.tau.target.unit
+        for t in enumerate_trees(DBOOL, 0, 3):
+            assert carrier.key(rec.gamma.eval(t))[1] == rec.tau.eval(t)
 
 
 def test_membership_on_unit_for_rank_one():
@@ -706,6 +712,7 @@ def test_corpus_compiles_build_only_the_carriers_they_read(monkeypatch):
     generated = counting("generated", preclone.generated)
     monkeypatch.setattr(preclone, "generated", generated)
     monkeypatch.setattr(blockprod, "generated", generated)
+    monkeypatch.setattr(compiler, "generated", generated)
     tpg = counting("transformation_pgpair", preclone.transformation_pgpair)
     monkeypatch.setattr(compiler, "transformation_pgpair", tpg)
     monkeypatch.setattr(syntactic, "transformation_pgpair", tpg)
@@ -713,3 +720,60 @@ def test_corpus_compiles_build_only_the_carriers_they_read(monkeypatch):
                         for name in CORPUS_NAMES)
     assert calls == {"generated": 116, "transformation_pgpair": 76}
     assert automata_only == 106
+
+
+# -- the division check: the carrier maps onto the syntactic pg-pair ----------------
+
+
+def division_faults(rec, image):
+    """What keeps the carrier, under the letter images ``image``, from
+    mapping onto the syntactic pg-pair of its language.
+
+    One ``generated`` call in the product of the carrier and the syntactic
+    pg-pair of ``rec.automaton``, from the pairs (image(a), syn(a)) and
+    capped at the rank k, reaches the relation that both morphisms induce
+    on rank-k trees.  It comes from a morphism iff it is functional in the
+    carrier element; that morphism is onto sort k, and it recognizes the
+    language iff the accepting sets agree on valid elements.
+
+    Caveat: for a quantifier formula, ``rec.automaton`` is read off the
+    carrier itself, so the check is circular until an automaton built by an
+    independent compile route stands in for it.
+    """
+    from preclones.preclone import direct_product, generated
+    from preclones.syntactic import syntactic_pgpair
+
+    carrier, k = rec.pgpair.preclone, rec.rank
+    syn = syntactic_pgpair(rec.automaton, carrier.trunc)
+    letters = ((name, m, (image[name], syn.morphism(name)))
+               for name, m in rec.ext_alphabet.symbols)
+    pg, _ = generated(direct_product([carrier, syn.pgpair.preclone]), letters, k)
+    pairs = [pg.preclone.key(el) for el in pg.preclone.sort(k)]
+    faults = []
+    if len({x for x, _ in pairs}) != len(pairs):
+        faults.append("not a function")
+    if {y for _, y in pairs} != set(syn.pgpair.preclone.sort(k)):
+        faults.append("not onto sort k")
+    if any((x in rec.accepting) != (y in syn.accepting) for x, y in pairs if x in rec.valid):
+        faults.append("accepting sets differ")
+    return faults
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_compiled_carrier_maps_onto_the_syntactic_pgpair(name):
+    _, rec = corpus_recognizer(name)
+    assert division_faults(rec, rec.gamma.image) == []
+
+
+@pytest.mark.parametrize("name", ["ex04", "ex19", "ex27"])
+def test_a_corrupted_gamma_image_fails_the_division_check(name):
+    # the first letter whose sort holds another element is sent there
+    _, rec = corpus_recognizer(name)
+    carrier, image = rec.pgpair.preclone, dict(rec.gamma.image)
+    for letter, m in rec.ext_alphabet.symbols:
+        others = [el for el in carrier.sort(m) if el != image[letter]]
+        if others:
+            image[letter] = others[0]
+            break
+    assert image != rec.gamma.image
+    assert division_faults(rec, image)

@@ -164,7 +164,7 @@ def growth_faults(S, n, key):
 
 
 def bare_preclone():
-    S = FinitaryPreclone(2, lambda fkey, frank, gkeys: fkey)
+    S = FinitaryPreclone(2, lambda fkey, gkeys: fkey)
     S.set_unit(S.intern(1, "id"))
     return S
 

@@ -33,7 +33,6 @@ from preclones.preclone import (
     sub_pgpair_generated,
     t_exists,
     t_mod,
-    target_tupling,
     transformation_pgpair,
 )
 from preclones.trees import UNIT, alphabet, enumerate_trees, parse_tree
@@ -237,17 +236,32 @@ def test_accepting_elements_decide_language():
         assert (res.morphism.eval(t) in P) == a.accepts(t)
 
 
-def test_direct_product_sizes_and_unit():
-    S = t_exists(3).preclone
-    T = t_mod(2, 3).preclone
+def full_product(factors):
+    """The direct product generated from every pair of same-rank elements."""
+    letters = [(pair, n, pair) for n in range(factors[0].trunc + 1)
+               for pair in itertools.product(*(S.sort(n) for S in factors))]
+    return preclone.generated(direct_product(factors), letters)[0].preclone
+
+
+def test_direct_product_holds_only_its_unit():
+    S, T = t_exists(3).preclone, t_mod(2, 3).preclone
     P = direct_product([S, T])
-    assert P.sort_size(2) == S.sort_size(2) * T.sort_size(2)
+    assert P.size() == 1
+    assert P.key(P.unit) == (S.unit, T.unit)
+
+
+def test_direct_product_sizes_and_unit():
+    # generated from every pair of same-rank elements: the cartesian sorts
+    S, T = t_exists(3).preclone, t_mod(2, 3).preclone
+    P = full_product([S, T])
+    for n in range(4):
+        assert {P.key(el) for el in P.sort(n)} == set(itertools.product(S.sort(n), T.sort(n)))
     assert P.key(P.unit) == (S.unit, T.unit)
 
 
 def test_direct_product_componentwise_random():
     T = t_mod(2, 3).preclone
-    P = direct_product([T, T])
+    P = full_product([T, T])
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randrange(0, 3)
@@ -262,16 +276,6 @@ def test_direct_product_componentwise_random():
                 P.key(f)[i], [P.key(g)[i] for g in gs]
             )
             assert P.key(got)[i] == want
-
-
-def test_target_tupling_is_morphism():
-    res1 = transformation_pgpair(k_exists(DBOOL, 0), 3)
-    res2 = transformation_pgpair(k_mod(DBOOL, 0, 2, 1), 3)
-    P = direct_product([res1.pgpair.preclone, res2.pgpair.preclone])
-    phi = target_tupling([res1.morphism, res2.morphism], P)
-    for t in enumerate_trees(DBOOL, 0, 3):
-        got = phi.eval(t)
-        assert P.key(got) == (res1.morphism.eval(t), res2.morphism.eval(t))
 
 
 def fresh_transformation_preclone(automaton):
@@ -393,9 +397,9 @@ def test_check_axioms_detects_fault():
 
     import preclones.preclone as P
 
-    def bad_compose(fkey, frank, gkeys):
-        key = P._transformation_compose(fkey, frank, gkeys)
-        if frank == 1 and len(gkeys) == 1 and gkeys[0][1] == 0:
+    def bad_compose(fkey, gkeys):
+        key = P._transformation_compose(fkey, gkeys)
+        if len(gkeys) == 1 and len(gkeys[0][1]) == 1:  # rank-1 f, rank-0 g
             n, table = key
             return (n, tuple(1 - v for v in table))
         return key
@@ -435,7 +439,7 @@ def test_transformation_pgpair_trunc_guard():
 
 def reference_compose(pre, f, gs):
     m = sum(g[0] for g in gs)
-    key = pre._compose_raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
+    key = pre._compose_raw(pre.key(f), [pre.key(g) for g in gs])
     return pre.intern(m, key)
 
 
@@ -530,18 +534,17 @@ def check_closures_against_references():
                 lambda: transformation_pgpair(a, 2, eval_cap=cap).pgpair.preclone
             )
 
-    # a direct product's sub-pg-pair, as the compiler's _combine builds it
+    # the sub-pg-pair of a direct product, as the compiler's _combine builds it
     for a1, a2 in ((k_exists(DBOOL, 1), k_mod(DBOOL, 1, 2, 1)),
                    (k_path(DBOOL, 1), k_forall_next(DBOOL, 1))):
         for k in (0, 1):
             r1 = transformation_pgpair(a1, 2, eval_cap=k)
             r2 = transformation_pgpair(a2, 2, eval_cap=k)
-            prod = direct_product([r1.pgpair.preclone, r2.pgpair.preclone])
-            tupled = target_tupling([r1.morphism, r2.morphism], prod)
-            images = [tupled.image[name] for name, _ in DBOOL.symbols]
-            assert_closure_matches_references(
-                lambda: sub_pgpair_generated(prod, images, eval_cap=k).preclone
-            )
+            letters = [(name, m, (r1.morphism(name), r2.morphism(name)))
+                       for name, m in DBOOL.symbols]
+            assert_closure_matches_references(lambda: preclone.generated(
+                direct_product([r1.pgpair.preclone, r2.pgpair.preclone]), letters, k
+            )[0].preclone)
 
     pg = t_exists(2)
     assert_closure_matches_references(
@@ -594,7 +597,7 @@ def assert_closure_wrote_through(pre, letters, cap):
             pre.compose(f, gs)
     assert calls == []
     for (f, gs), el in pre._memo.items():
-        key = raw(pre.key(f), f[0], [(pre.key(g), g[0]) for g in gs])
+        key = raw(pre.key(f), [pre.key(g) for g in gs])
         assert pre.lookup(sum(g[0] for g in gs), key) == el
 
 
@@ -839,8 +842,7 @@ def test_par_on_adjacent_slots_catches_a_toy():
     and f.(g, h) = h: D holds, SEQ has no instance, and PAR on slots 0 < 1
     fails, since (f o_0 a) o_0 b = b but (f o_1 b) o_0 a = a."""
 
-    def compose_raw(fkey, frank, gkeys):
-        args = [k for k, _ in gkeys]
+    def compose_raw(fkey, args):
         if fkey != "f":
             return args[0] if args else fkey
         plugged = [k for k in args if k != "1"]
@@ -908,7 +910,21 @@ def seeded_compose_calls(seed=13, per_shape=2, max_rank=5):
 
 
 def compose_call_mismatches(compose, calls):
-    return [c for c in calls if compose(*c) != reference_transformation_compose(*c)]
+    """The calls (fkey, frank, gkeys) on which a rule of keys alone differs
+    from the reference, which reads the ranks too."""
+    return [c for c in calls
+            if compose(c[0], [g for g, _ in c[2]]) != reference_transformation_compose(*c)]
+
+
+def transformation_rank(key):
+    """The rank of a transformation key: its table lists n_states ** rank
+    values.  With one state every rank reads 0, and the reference gives one
+    answer for every rank there."""
+    n_states, table = key
+    rank, size = 0, 1
+    while size < len(table):
+        rank, size = rank + 1, size * n_states
+    return rank
 
 
 def recorded_compose_calls(monkeypatch, name):
@@ -917,9 +933,10 @@ def recorded_compose_calls(monkeypatch, name):
     calls = {}
     original = preclone._transformation_compose
 
-    def recording(fkey, frank, gkeys):
-        calls.setdefault((fkey, frank, tuple(gkeys)), None)
-        return original(fkey, frank, gkeys)
+    def recording(fkey, gkeys):
+        ranked = tuple((g, transformation_rank(g)) for g in gkeys)
+        calls.setdefault((fkey, len(gkeys), ranked), None)
+        return original(fkey, gkeys)
 
     monkeypatch.setattr(preclone, "_transformation_compose", recording)
     phi, sigma, k, _ = load_formula_file(os.path.join(CORPUS, name + ".lind"))
@@ -931,16 +948,16 @@ def recorded_compose_calls(monkeypatch, name):
 def swapping_g_entries(compose):
     """compose, reading one g table with its first two differing entries swapped."""
 
-    def bad(fkey, frank, gkeys):
+    def bad(fkey, gkeys):
         gkeys = list(gkeys)
-        for i, ((n_states, table), grank) in enumerate(gkeys):
+        for i, (n_states, table) in enumerate(gkeys):
             diff = [j for j in range(1, len(table)) if table[j] != table[0]]
             if diff:
                 t = list(table)
                 t[0], t[diff[0]] = t[diff[0]], t[0]
-                gkeys[i] = ((n_states, tuple(t)), grank)
+                gkeys[i] = (n_states, tuple(t))
                 break
-        return compose(fkey, frank, gkeys)
+        return compose(fkey, gkeys)
 
     return bad
 
