@@ -186,8 +186,8 @@ def test_qk_over_k_path():
 
 def test_second_projection_of_gamma_agrees_with_tau():
     # the second components of gamma are exactly the simultaneous morphism,
-    # on generators and (homomorphically) on all trees
-    # on a quantifier and on its negation, which shares the carrier
+    # on generators and (homomorphically) on all trees, for a quantifier and
+    # for its negation, which shares the carrier
     phi = parse_formula("exists x. P[1_0](x)", DBOOL, 0)
     for psi in (phi, Not(phi)):
         rec = compile_formula(psi, DBOOL, (), 0)

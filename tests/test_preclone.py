@@ -534,7 +534,7 @@ def check_closures_against_references():
                 lambda: transformation_pgpair(a, 2, eval_cap=cap).pgpair.preclone
             )
 
-    # the sub-pg-pair of a direct product, as the compiler's _combine builds it
+    # a direct product's sub-pg-pair, as the compiler's _combine builds it
     for a1, a2 in ((k_exists(DBOOL, 1), k_mod(DBOOL, 1, 2, 1)),
                    (k_path(DBOOL, 1), k_forall_next(DBOOL, 1))):
         for k in (0, 1):
