@@ -148,3 +148,26 @@ def test_renumbering_checker_rejects_a_changed_composition(name, tmp_path):
     reversed_copy(golden, tmp_path / name, bad_comp=True)
     problems, _ = make_golden.check_renumbering(golden, tmp_path / name)
     assert problems
+
+
+# -- parser outcomes on seeded edits of formula and tree texts ----------------
+
+_spec = importlib.util.spec_from_file_location(
+    "parse_edits", os.path.join(GOLDEN, "parse_edits.py")
+)
+parse_edits = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parse_edits)
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_parse_outcomes_match_golden(hash_seed):
+    got = make_golden.cli(["--print"], hash_seed, launcher=(parse_edits.__file__,))
+    assert got == read(parse_edits.OUTCOMES)
+
+
+@pytest.mark.parametrize("seed,chars", [
+    (parse_edits.SEED, parse_edits.CHARS),
+])
+def test_edited_texts_raise_nothing_but_parse_errors(seed, chars):
+    for case in parse_edits.cases(seed, chars):
+        parse_edits.outcome(*case)  # any other exception propagates
