@@ -55,6 +55,8 @@ class BlockProduct:
         self.T = T
         self.k = k
         self.trunc = min(S.trunc, T.trunc) if trunc is None else trunc
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         if T.trunc < k + 1:
             raise RankOverflow("T must be truncated at rank >= k+1 for contexts")
         if S.trunc < self.trunc:

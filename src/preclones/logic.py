@@ -438,7 +438,12 @@ def split_symbol(ename: str):
 
 
 def extend_alphabet(sigma: RankedAlphabet, zs) -> RankedAlphabet:
-    """The alphabet whose rank-m letters are (sigma_m letter, subset of zs)."""
+    """The alphabet whose rank-m letters are (sigma_m letter, subset of zs).
+
+    Raises ValueError if a sigma letter holds '@', the mark of a variable."""
+    marked = [name for name in sigma.names() if "@" in name]
+    if marked:
+        raise ValueError(f"symbols {marked} hold '@', which marks variables in labels")
     zs = sorted(zs)
     syms = []
     for name, m in sigma.symbols:
@@ -634,31 +639,17 @@ _VARIABLE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset(
     {"exists", "mod", "true", "false", "root", "max", "left", "right", "P", "Q"}
 )
+# a token, else (group 1) the first character that starts none
+_TOKEN = re.compile(r"->|[()\[\]{},;:.<&|!]|[\w@$]+|(\S)")
 
 
 def _tokenize(text):
+    """Punctuation, ``->`` and words of letters, digits, _, @ and $."""
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append("->")
-            i += 2
-            continue
-        if ch in "()[]{},;:.<&|!":
-            toks.append(ch)
-            i += 1
-            continue
-        j = i
-        while j < len(text) and (text[j].isalnum() or text[j] in "_@$"):
-            j += 1
-        if j == i:
-            raise ParseError(f"unexpected character {ch!r} at {i}")
-        toks.append(text[i:j])
-        i = j
+    for m in _TOKEN.finditer(text):
+        if m[1]:
+            raise ParseError(f"unexpected character {m[1]!r} at {m.start()}")
+        toks.append(m[0])
     return toks
 
 
@@ -701,22 +692,11 @@ class _FormulaParser:
         tok = self.peek()
         if tok == "exists":
             self.next()
-            x = self.bind()
-            self.expect(".")
-            body = self.quantified()
-            self.binders.pop()
-            return exists_formula(x, body, self.sigma, self.k)
+            return exists_formula(*self.scope(), self.sigma, self.k)
         if tok == "mod":
             self.next()
-            self.expect("[")
-            p = self.integer()
-            self.expect(",")
-            r = self.integer()
-            self.expect("]")
-            x = self.bind()
-            self.expect(".")
-            body = self.quantified()
-            self.binders.pop()
+            p, r = self.indices(2)
+            x, body = self.scope()
             if not (p >= 2 and 0 <= r < p):
                 raise ParseError(f"bad modulus parameters ({p},{r})")
             return desugar_mod(p, r, x, body, self.sigma, self.k)
@@ -803,7 +783,7 @@ class _FormulaParser:
 
     def integer(self):
         tok = self.next()
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise ParseError(f"expected an integer, got {tok!r}")
         return int(tok)
 
@@ -820,6 +800,14 @@ class _FormulaParser:
         self.binders.append(x)
         return f"{x}${len(self.binders)}"
 
+    def scope(self):
+        """``x. body``: the bound name and the body read in x's scope."""
+        x = self.bind()
+        self.expect(".")
+        body = self.quantified()
+        self.binders.pop()
+        return x, body
+
     def reference(self):
         """A variable occurrence: the innermost binder so written, else free."""
         x = self.variable()
@@ -828,79 +816,66 @@ class _FormulaParser:
                 return f"{x}${d}"
         return x
 
+    def _listed(self, opening, read, n, closing):
+        """n items read by ``read``, separated by commas, in brackets."""
+        self.expect(opening)
+        out = [read()]
+        while len(out) < n:
+            self.expect(",")
+            out.append(read())
+        self.expect(closing)
+        return out
+
+    def indices(self, n):
+        """``[i]`` or ``[i, j]``: the integer parameters of an atom."""
+        return self._listed("[", self.integer, n, "]")
+
+    def arguments(self, n):
+        """``(x)`` or ``(x, y)``: the variables an atom is applied to."""
+        return self._listed("(", self.reference, n, ")")
+
     def atom(self):
         tok = self.peek()
+        if tok in ("(", "true", "false", "P", "root", "max", "left", "right"):
+            self.next()  # a keyword atom; succ_i and x < y are read below
         if tok == "(":
-            self.next()
             phi = self.quantified()
             self.expect(")")
             return phi
-        if tok == "true":
-            self.next()
-            return TRUE
-        if tok == "false":
-            self.next()
-            return FALSE
+        if tok in ("true", "false"):
+            return TRUE if tok == "true" else FALSE
         if tok == "P":
-            self.next()
             self.expect("[")
             sym = self.next()
             self.expect("]")
             if sym not in self.sigma.arity:
                 raise ParseError(f"unknown symbol {sym!r}")
-            self.expect("(")
-            x = self.reference()
-            self.expect(")")
-            return PSym(sym, x)
+            return PSym(sym, *self.arguments(1))
         if tok == "root":
-            self.next()
-            self.expect("(")
-            x = self.reference()
-            self.expect(")")
-            return Root(x)
+            return Root(*self.arguments(1))
         if tok == "max":
-            self.next()
-            self.expect("[")
-            i = self.integer()
-            self.expect(",")
-            j = self.integer()
-            self.expect("]")
-            self.expect("(")
-            x = self.reference()
-            self.expect(")")
+            (i, j), (x,) = self.indices(2), self.arguments(1)
             if not 1 <= i <= self.sigma.max_arity:
                 raise ParseError(f"successor index {i} out of range")
             if not 1 <= j <= self.k:
                 raise ParseError(f"variable index {j} outside rank {self.k}")
             return Max(i, j, x)
         if tok in ("left", "right"):
-            self.next()
-            self.expect("[")
-            j = self.integer()
-            self.expect("]")
-            self.expect("(")
-            x = self.reference()
-            self.expect(")")
+            (j,), (x,) = self.indices(1), self.arguments(1)
             return self._leftright(tok, j, x)
         if tok is not None and tok.startswith("succ_"):
             self.next()
             i = tok[len("succ_"):]
-            if not i.isdigit():
+            if not i.isdecimal():
                 raise ParseError(f"bad successor atom {tok!r}")
             i = int(i)
             if not 1 <= i <= self.sigma.max_arity:
                 raise ParseError(f"successor index {i} out of range")
-            self.expect("(")
-            x = self.reference()
-            self.expect(",")
-            y = self.reference()
-            self.expect(")")
-            return Succ(i, x, y)
+            return Succ(i, *self.arguments(2))
         # x < y
         x = self.reference()
         self.expect("<")
-        y = self.reference()
-        return Less(x, y)
+        return Less(x, self.reference())
 
     def _leftright(self, kind, j, x):
         k = self.k

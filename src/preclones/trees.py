@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, natural, read_lines
@@ -224,69 +225,40 @@ def tree_to_text(t: RankedTree) -> str:
                 lambda label, texts: f"{label}({','.join(texts)})" if texts else str(label))
 
 
-class _TreeParser:
-    DELIMS = set("(),")
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def token(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of tree text")
-        ch = self.text[self.pos]
-        if ch in self.DELIMS:
-            self.pos += 1
-            return ch
-        start = self.pos
-        while (
-            self.pos < len(self.text)
-            and not self.text[self.pos].isspace()
-            and self.text[self.pos] not in self.DELIMS
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def peek(self):
-        save = self.pos
-        try:
-            tok = self.token()
-        except ParseError:
-            tok = None
-        self.pos = save
-        return tok
-
-    def parse(self):
-        tok = self.token()
-        if tok in self.DELIMS:
-            raise ParseError(f"unexpected {tok!r} at position {self.pos}")
-        if len(tok) > 1 and tok[0] == "v" and tok[1:].isdigit():
-            return RankedTree(int(tok[1:]))
-        children = []
-        if self.peek() == "(":
-            self.token()
-            while True:
-                children.append(self.parse())
-                sep = self.token()
-                if sep == ")":
-                    break
-                if sep != ",":
-                    raise ParseError(f"expected ',' or ')', got {sep!r}")
-        return RankedTree(tok, tuple(children))
+_TREE_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
 def parse_tree(text: str, alph: RankedAlphabet, expect_rank=None) -> RankedTree:
     """Parse the term grammar: symbol | symbol(tree,...) | v<digits>."""
-    p = _TreeParser(text)
-    t = p.parse()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError(f"trailing input at position {p.pos}")
+    # (token, start) in text order; None marks the end of the text
+    toks = [(m[0], m.start()) for m in _TREE_TOKEN.finditer(text)] + [(None, len(text))]
+    pos = 0
+
+    def token():
+        nonlocal pos
+        tok, start = toks[pos]
+        if tok is None:
+            raise ParseError("unexpected end of tree text")
+        pos += 1
+        return tok, start
+
+    def tree():
+        tok, start = token()
+        if tok in ("(", ")", ","):
+            raise ParseError(f"unexpected {tok!r} at position {start + 1}")
+        if len(tok) > 1 and tok[0] == "v" and tok[1:].isdecimal():
+            return RankedTree(int(tok[1:]))
+        children, sep = [], token()[0] if toks[pos][0] == "(" else ")"
+        while sep != ")":
+            children.append(tree())
+            sep = token()[0]
+            if sep not in (",", ")"):
+                raise ParseError(f"expected ',' or ')', got {sep!r}")
+        return RankedTree(tok, tuple(children))
+
+    t = tree()
+    if toks[pos][0] is not None:
+        raise ParseError(f"trailing input at position {toks[pos][1]}")
     validate(t, alph, expect_rank)
     return t
 
@@ -348,6 +320,8 @@ def forest(alph: RankedAlphabet, k: int, max_nv: int):
     children's serials (each before its parent; v_j is (j, (), "vj")).
     ``levels[nv]`` lists the serials of the trees with nv NV nodes, in order.
     """
+    if k < 0:
+        raise ValueError(f"rank must be >= 0, got {k}")
     if max_nv < 0:
         raise ValueError(f"max_nv must be >= 0, got {max_nv}")
     memo, dag = {}, []
@@ -359,7 +333,7 @@ def enumerate_trees(alph: RankedAlphabet, k: int, max_nv: int):
     """Yield every tree of rank k with at most max_nv NV nodes, exactly once.
 
     Order: by NV count, then lexicographically on the term text, so runs
-    are reproducible.  Raises ValueError for a negative max_nv.
+    are reproducible.  Raises ValueError for a negative k or max_nv.
     """
     dag, levels = forest(alph, k, max_nv)
     built = []  # the tree of each entry, from its children's

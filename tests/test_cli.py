@@ -10,6 +10,7 @@ from preclones.preclone import load_preclone, t_exists
 from preclones.syntactic import isomorphic
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+GOLDEN_TEXISTS = os.path.join(os.path.dirname(__file__), "golden", "t_exists2.pre")
 
 
 def corp(name):
@@ -67,6 +68,33 @@ def test_negative_max_nv_is_an_error(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: max_nv must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--alphabet", corp("sigma_ex.alph"), "--rank", "-1", "--max-nv", "2"],
+     "rank must be >= 0, got -1"),
+    (["blockprod", GOLDEN_TEXISTS, GOLDEN_TEXISTS, "--k", "-1"], "k must be >= 0, got -1"),
+], ids=["enumerate", "blockprod"])
+def test_negative_rank_is_an_error(argv, message, capsys):
+    # no tree has a rank below 0; it must not read as an empty listing or a carrier
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_an_at_sign_in_an_alphabet_symbol_is_an_error(tmp_path, capsys):
+    # '@' marks the variables of a structure label: a@b would read as the
+    # letter a carrying the variable b, so the compiled side would disagree
+    (tmp_path / "at.alph").write_text("f/2\na@b/0\nc/0\n")
+    (tmp_path / "at.tr").write_text("f(a@b,c)\n")
+    lind = tmp_path / "at.lind"
+    lind.write_text("alphabet at.alph\nrank 0\nformula exists x. P[a@b](x)\n")
+    code, out, err = run(capsys, "check-equiv", str(lind), "--max-nv", "3")
+    assert code == 2 and out == ""
+    assert err == "error: symbols ['a@b'] hold '@', which marks variables in labels\n"
+    # the semantics alone never splits a label
+    code, out, _ = run(capsys, "eval", str(tmp_path / "at.tr"), str(lind))
+    assert code == 0 and out == "SAT\n"
 
 
 def test_syntactic_class_counts(capsys):

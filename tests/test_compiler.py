@@ -729,32 +729,50 @@ def division_faults(rec, image):
     """What keeps the carrier, under the letter images ``image``, from
     mapping onto the syntactic pg-pair of its language.
 
-    One ``generated`` call in the product of the carrier and the syntactic
-    pg-pair of ``rec.automaton``, from the pairs (image(a), syn(a)) and
-    capped at the rank k, reaches the relation that both morphisms induce
-    on rank-k trees.  It comes from a morphism iff it is functional in the
-    carrier element; that morphism is onto sort k, and it recognizes the
-    language iff the accepting sets agree on valid elements.
+    The syntactic side is judged on validity too: the product of
+    ``rec.automaton`` and the automaton of the valid structures (the
+    finals of ``Compiler.automaton(TRUE, ...)``) is minimized with both
+    final sets, and its transformation pg-pair is quotiented by the
+    congruence that saturates the language and the valid set.  One
+    ``generated`` call in the product of the carrier and that quotient,
+    from the pairs (image(a), syn(a)) and capped at the rank k, reaches the
+    relation that both morphisms induce on rank-k trees.  It comes from a
+    morphism iff it is functional in the carrier element; that morphism is
+    onto sort k, and it recognizes the language iff validity agrees on
+    every pair and the accepting sets agree on the valid ones.
 
     Caveat: for a quantifier formula, ``rec.automaton`` is read off the
     carrier itself, so the check is circular until an automaton built by an
     independent compile route stands in for it.
     """
-    from preclones.preclone import direct_product, generated
-    from preclones.syntactic import syntactic_pgpair
+    from preclones.automata import product
+    from preclones.preclone import (accepting_elements, direct_product, generated, quotient,
+                                    transformation_pgpair)
+    from preclones.syntactic import syntactic_congruence
 
-    carrier, k = rec.pgpair.preclone, rec.rank
-    syn = syntactic_pgpair(rec.automaton, carrier.trunc)
-    letters = ((name, m, (image[name], syn.morphism(name)))
+    carrier, k, lang = rec.pgpair.preclone, rec.rank, rec.automaton
+    valid = Compiler(rec.sigma, k).automaton(TRUE, rec.variables)
+    both, states = product([lang, valid])
+    finals = frozenset(i for i, (p, _) in enumerate(states) if p in lang.finals)
+    both, (valid_states,) = minimize(dataclasses.replace(both, finals=finals),
+                                     [{i for i, (_, q) in enumerate(states) if q in valid.finals}])
+    res = transformation_pgpair(both, carrier.trunc)
+    T0 = res.pgpair.preclone
+    P_acc, P_val = accepting_elements(res), accepting_elements(res, valid_states)
+    syn, proj = quotient(T0, syntactic_congruence(T0, k, P_acc, extra_sets=[P_val]))
+    letters = ((name, m, (image[name], proj[res.morphism.image[name]]))
                for name, m in rec.ext_alphabet.symbols)
-    pg, _ = generated(direct_product([carrier, syn.pgpair.preclone]), letters, k)
+    pg, _ = generated(direct_product([carrier, syn]), letters, k)
     pairs = [pg.preclone.key(el) for el in pg.preclone.sort(k)]
+    syn_acc, syn_val = {proj[el] for el in P_acc}, {proj[el] for el in P_val}
     faults = []
     if len({x for x, _ in pairs}) != len(pairs):
         faults.append("not a function")
-    if {y for _, y in pairs} != set(syn.pgpair.preclone.sort(k)):
+    if {y for _, y in pairs} != set(syn.sort(k)):
         faults.append("not onto sort k")
-    if any((x in rec.accepting) != (y in syn.accepting) for x, y in pairs if x in rec.valid):
+    if any((x in rec.valid) != (y in syn_val) for x, y in pairs):
+        faults.append("valid sets differ")
+    if any((x in rec.accepting) != (y in syn_acc) for x, y in pairs if y in syn_val):
         faults.append("accepting sets differ")
     return faults
 
@@ -765,15 +783,71 @@ def test_compiled_carrier_maps_onto_the_syntactic_pgpair(name):
     assert division_faults(rec, rec.gamma.image) == []
 
 
-@pytest.mark.parametrize("name", ["ex04", "ex19", "ex27"])
-def test_a_corrupted_gamma_image_fails_the_division_check(name):
-    # the first letter whose sort holds another element is sent there
-    _, rec = corpus_recognizer(name)
+def gamma_mutant(rec):
+    """rec's letter images with the first letter whose sort holds another
+    element sent to the first such element; None if every such sort is a
+    singleton."""
     carrier, image = rec.pgpair.preclone, dict(rec.gamma.image)
     for letter, m in rec.ext_alphabet.symbols:
         others = [el for el in carrier.sort(m) if el != image[letter]]
         if others:
             image[letter] = others[0]
-            break
-    assert image != rec.gamma.image
-    assert division_faults(rec, image)
+            return image
+    return None
+
+
+def memo_mutant(rec):
+    """(memo key, wrong result) for the first carrier memo entry whose head
+    is a letter image, whose result has rank <= k and whose result sort
+    holds another element; None if there is none."""
+    carrier, heads = rec.pgpair.preclone, set(rec.gamma.image.values())
+    for key, el in carrier._memo.items():
+        others = [x for x in carrier.sort(el[0]) if x != el]
+        if key[0] in heads and el[0] <= rec.rank and others:
+            return key, others[0]
+    return None
+
+
+# the corpus formulas with a mutant; every one is caught but ex23's memo mutant
+GAMMA_MUTANT_NAMES = tuple(f"ex{i:02d}" for i in (*range(1, 16), 19, 20, 22, 25, 26, 27, 31, 32))
+MEMO_MUTANT_NAMES = tuple(f"ex{i:02d}" for i in (*range(1, 16), *range(19, 29), 31, 32))
+
+
+def test_the_mutant_lists_hold_every_formula_with_a_mutant():
+    recs = {name: corpus_recognizer(name)[1] for name in CORPUS_NAMES}
+    assert GAMMA_MUTANT_NAMES == tuple(n for n, rec in recs.items() if gamma_mutant(rec))
+    assert MEMO_MUTANT_NAMES == tuple(n for n, rec in recs.items() if memo_mutant(rec))
+
+
+@pytest.mark.parametrize("name", GAMMA_MUTANT_NAMES)
+def test_a_corrupted_gamma_image_fails_the_division_check(name):
+    _, rec = corpus_recognizer(name)
+    assert division_faults(rec, gamma_mutant(rec))
+
+
+def with_memo_mutant(rec, check):
+    """check(rec) while rec's carrier memo holds ``memo_mutant(rec)``."""
+    key, wrong = memo_mutant(rec)
+    memo = rec.pgpair.preclone._memo
+    right, memo[key] = memo[key], wrong
+    try:
+        return check(rec)
+    finally:
+        memo[key] = right
+
+
+@pytest.mark.parametrize("name", [n for n in MEMO_MUTANT_NAMES if n != "ex23"])
+def test_a_corrupted_carrier_memo_entry_fails_the_division_check(name):
+    _, rec = corpus_recognizer(name)
+    assert with_memo_mutant(rec, lambda r: division_faults(r, r.gamma.image))
+
+
+def test_the_memo_mutant_of_ex23_recognizes_the_same_language():
+    # it sends f(a, v1) to the unit instead of another rank-1 element, and
+    # at rank 1 no node of f(a, .) has one variable on its left, so
+    # left[1](x) cannot tell f(a, v1) from v1: both elements lie in one
+    # syntactic class, and the check rightly finds nothing
+    phi, rec = corpus_recognizer("ex23")
+    assert memo_mutant(rec)[1] == rec.pgpair.preclone.unit
+    assert with_memo_mutant(rec, lambda r: division_faults(r, r.gamma.image)) == []
+    assert with_memo_mutant(rec, lambda r: check_equivalence(phi, r, 5)).ok

@@ -167,6 +167,7 @@ def test_parse_outcomes_match_golden(hash_seed):
 
 @pytest.mark.parametrize("seed,chars", [
     (parse_edits.SEED, parse_edits.CHARS),
+    (7, parse_edits.CHARS + "²١\xa0\x0c"),  # digits int() refuses, non-ASCII spaces
 ])
 def test_edited_texts_raise_nothing_but_parse_errors(seed, chars):
     for case in parse_edits.cases(seed, chars):

@@ -1,14 +1,18 @@
-"""Every module of the package uses each name it imports, and only the
-shared line reader splits text into lines."""
+"""Every module of the package uses each name it imports, only the shared
+line reader splits text into lines, and every library name the benchmark
+reads exists."""
 
 import ast
+import functools
 import glob
+import importlib
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "preclones")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "preclones")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def unused_imports(source):
@@ -81,3 +85,57 @@ def test_only_the_shared_reader_splits_text_into_lines():
         if names:
             found[os.path.basename(path)] = names
     assert found == {"errors.py": ["read_lines"]}
+
+
+def parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def library_aliases(tree):
+    """name -> module for every library module a source imports."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "preclones":
+            out.update({a.asname or a.name: f"preclones.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            out.update({a.asname: a.name for a in node.names
+                        if a.name.startswith("preclones.") and a.asname})
+    return out
+
+
+def bench_names():
+    """(module, dotted name) of each library name the benchmark reads: the
+    tracer's SPANNED, HOT and GENERATORS, its ``_patch_method(<module>.<Class>,
+    "<attr>")`` targets, and the ``<module>.<name>`` reads of workloads.py."""
+    tracer, names = parse(os.path.join(PERFBENCH, "tracer.py")), set()
+    for node in tracer.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in (
+                "SPANNED", "HOT", "GENERATORS"):
+            names.update(ast.literal_eval(node.value))
+    aliases = library_aliases(tracer)
+    for node in ast.walk(tracer):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_patch_method":
+            cls, attr = node.args[:2]
+            names.add((aliases[cls.value.id], f"{cls.attr}.{attr.value}"))
+    workloads = parse(os.path.join(PERFBENCH, "workloads.py"))
+    aliases = library_aliases(workloads)
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            names.add((aliases[node.value.id], node.attr))
+    return sorted(names)
+
+
+BENCH_NAMES = bench_names()
+
+
+def test_the_bench_names_cover_each_source():
+    assert ("preclones.logic", "parse_formula") in BENCH_NAMES  # SPANNED
+    assert ("preclones.logic", "satisfies") in BENCH_NAMES  # HOT
+    assert ("preclones.preclone", "FinitaryPreclone.compose") in BENCH_NAMES  # _patch_method
+    assert ("preclones.preclone", "t_mod") in BENCH_NAMES  # workloads.py
+
+
+@pytest.mark.parametrize("module,name", BENCH_NAMES, ids=[f"{m}.{n}" for m, n in BENCH_NAMES])
+def test_each_name_the_bench_reads_exists(module, name):
+    functools.reduce(getattr, name.split("."), importlib.import_module(module))
